@@ -39,6 +39,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -248,9 +249,10 @@ main()
     bench::banner("infer_e2e",
                   "served GMW MLP inference: packed wire, pipelining, "
                   "latency rows");
-    bench::note("byte/round columns are online deltas measured after "
-                "session bring-up; single-core caveat in "
-                "EXPERIMENTS.md applies to the overlap paths");
+    std::printf("note: byte/round columns are online deltas measured "
+                "after session bring-up; %u hardware threads on this "
+                "host bound the overlap paths\n",
+                std::thread::hardware_concurrency());
 
     bench::JsonWriter json("BENCH_infer_e2e.json");
     json.kv("bench", "infer_e2e");
@@ -374,8 +376,8 @@ main()
         std::printf("\n%s w%u pipelining, %zu images, loopback\n",
                     spec.name.c_str(), width, images);
         printHeader();
-        // Best of two runs per row: single-core loopback throughput
-        // at this scale is noisy (refill threads share the CPU) and
+        // Best of two runs per row: loopback throughput at this
+        // scale is noisy (refill threads share the cores) and
         // the sentinel compares the two rows against each other.
         auto best = [&](const std::vector<std::vector<int64_t>> &rq,
                         uint32_t b, uint16_t d, const char *path) {

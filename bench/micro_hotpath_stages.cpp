@@ -6,24 +6,22 @@
  *   CRHF         — every MMO hash of one extension (chosen-OT pads,
  *                  unmask pads, mini-leaf pads), batched vs scalar,
  *   LPN          — the n-row gather-XOR, streaming (per-extension AES
- *                  index generation) vs precomputed tape + SIMD,
+ *                  index generation) vs precomputed tape + SIMD, and
+ *                  the bit encode's AVX2 kernel vs its word fallback,
  *   wire         — measured transcript bytes, converted to LAN/WAN
  *                  seconds with the analytic NetworkModel.
  *
- * plus the end-to-end OT/s of the unpipelined and pipelined engines.
- * Cycles are TSC ticks on x86 (calibrated against the wall clock so
- * the printed cycles/unit are meaningful on this host); elsewhere the
- * cycle columns fall back to nanoseconds.
- *
- * Record the numbers in EXPERIMENTS.md. Caveat (ROADMAP.md): this dev
- * container is single-core, so the iteration pipeline cannot overlap
- * stages here — its LPN tail runs inline — and the measured gains come
- * from batched CRHF + the index tape. Re-measure on multicore.
+ * plus the end-to-end OT/s of the engine on both LPN feeds. Cycles
+ * are TSC ticks on x86 (calibrated against the wall clock so the
+ * printed cycles/unit are meaningful on this host); elsewhere the
+ * cycle columns fall back to nanoseconds. The host's hardware thread
+ * count is printed with the results.
  *
  * Run: ./bench_micro_hotpath_stages   (IRONMAN_BENCH_FAST=1 trims)
  */
 
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -124,7 +122,7 @@ struct E2e
  * on a protocol regression, not just a crash.
  */
 E2e
-endToEnd(const FerretParams &p, bool pipelined, int iters, bool *ok)
+endToEnd(const FerretParams &p, int iters, bool *ok)
 {
     Rng dealer(1234);
     Block delta = dealer.nextBlock();
@@ -135,7 +133,6 @@ endToEnd(const FerretParams &p, bool pipelined, int iters, bool *ok)
     net::MemoryDuplex duplex;
     std::thread sender_thread([&] {
         FerretCotSender sender(duplex.a(), p, delta, std::move(bs.q));
-        sender.setPipelined(pipelined);
         Rng rng(1);
         sender.extendInto(rng, q.data()); // warm-up
         Timer timer;
@@ -145,7 +142,6 @@ endToEnd(const FerretParams &p, bool pipelined, int iters, bool *ok)
     });
     FerretCotReceiver receiver(duplex.b(), p, std::move(br.choice),
                                std::move(br.t));
-    receiver.setPipelined(pipelined);
     Rng rng(2);
     BitVec choice;
     std::vector<Block> t(p.usableOts());
@@ -204,7 +200,7 @@ main()
         });
 
         // Cross-tree level-synchronous path (one expander call per
-        // level per chunk — the hot path of spcotSendTranscript).
+        // level per chunk — the hot path of spcotSendInto).
         constexpr size_t kChunk = SpcotWorkspace::kBatchTrees;
         auto batch_prg = crypto::makeTreeExpander(p.prg, p.arity);
         GgmBatchScratch batch_scratch;
@@ -284,50 +280,11 @@ main()
         double taped = measureCycles(3, [&] {
             enc.encodeBlocksTape(in.data(), rows.data(), 0, lp.n, tape);
         });
-        auto taped_with = [&](LpnKernel k, bool prefetch) {
-            LpnEncoder::setKernel(k);
-            LpnEncoder::setPrefetch(prefetch);
-            double c = measureCycles(5, [&] {
-                enc.encodeBlocksTape(in.data(), rows.data(), 0, lp.n,
-                                     tape);
-            });
-            LpnEncoder::setKernel(LpnKernel::Auto);
-            LpnEncoder::setPrefetchAuto();
-            return c;
-        };
-        double taped_scalar = taped_with(LpnKernel::Scalar, true);
-        double taped_scalar_nopf = taped_with(LpnKernel::Scalar, false);
-        double taped_sse2 = taped_with(LpnKernel::Sse2, true);
-        double taped_sse2_nopf = taped_with(LpnKernel::Sse2, false);
-        double taped_insert = taped_with(LpnKernel::Avx2, true);
-        double taped_insert_nopf = taped_with(LpnKernel::Avx2, false);
-        double taped_gather = taped_with(LpnKernel::Avx2Gather, true);
         printRow({"LPN streaming (PR1 path)", streaming,
                   streaming / double(lp.n), "row"});
-        std::printf("  LPN tape, auto kernel = %s, auto prefetch = %s "
-                    "(both measured per CPU)\n",
-                    LpnEncoder::activeKernelName(),
-                    detail::lpnPrefetchEnabled() ? "on" : "off");
-        printRow({"LPN tape + SIMD (auto)", taped, taped / double(lp.n),
-                  "row"});
-        printRow({"LPN tape, scalar kernel", taped_scalar,
-                  taped_scalar / double(lp.n), "row"});
-        printRow({"LPN tape, scalar, no pf", taped_scalar_nopf,
-                  taped_scalar_nopf / double(lp.n), "row"});
-        printRow({"LPN tape, sse2", taped_sse2,
-                  taped_sse2 / double(lp.n), "row"});
-        printRow({"LPN tape, sse2, no pf", taped_sse2_nopf,
-                  taped_sse2_nopf / double(lp.n), "row"});
-        printRow({"LPN tape, avx2-insert", taped_insert,
-                  taped_insert / double(lp.n), "row"});
-        printRow({"LPN tape, avx2-insert, no pf", taped_insert_nopf,
-                  taped_insert_nopf / double(lp.n), "row"});
-        printRow({"LPN tape, avx2-vpgatherqq", taped_gather,
-                  taped_gather / double(lp.n), "row"});
+        printRow({"LPN tape + SIMD", taped, taped / double(lp.n), "row"});
         std::printf("    -> tape+SIMD speedup %.2fx (index AES "
-                    "eliminated: %zu calls/ext); auto keeps the "
-                    "per-CPU winner; 'no pf' rows = software tap "
-                    "prefetch disabled\n",
+                    "eliminated: %zu calls/ext)\n",
                     streaming / taped,
                     size_t(LpnEncoder::aesCallsPerRow) * lp.n);
 
@@ -341,63 +298,51 @@ main()
         double bits_taped = measureCycles(3, [&] {
             enc.encodeBitsTape(bits_in, bits_rows, tape);
         });
-        LpnEncoder::setKernel(LpnKernel::Scalar);
-        double bits_scalar = measureCycles(3, [&] {
-            enc.encodeBitsTape(bits_in, bits_rows, tape);
+        // The word kernel is the bit encode's fallback where the CPU
+        // lacks AVX2; timing it here shows what the CPUID choice buys.
+        double bits_words = measureCycles(3, [&] {
+            detail::lpnBitGatherWords(bits_in.rawWords().data(),
+                                      bits_rows.rawWords().data(),
+                                      tape.idx.data(), lp.n, lp.d);
         });
-        LpnEncoder::setKernel(LpnKernel::Auto);
         printRow({"bit-LPN streaming", bits_streaming,
                   bits_streaming / double(lp.n), "row"});
-        printRow({"bit-LPN tape + SIMD", bits_taped,
-                  bits_taped / double(lp.n), "row"});
-        printRow({"bit-LPN tape, scalar", bits_scalar,
-                  bits_scalar / double(lp.n), "row"});
+        printRow({detail::lpnAvx2Supported() ? "bit-LPN tape (avx2)"
+                                             : "bit-LPN tape (words)",
+                  bits_taped, bits_taped / double(lp.n), "row"});
+        printRow({"bit-LPN tape, word kernel", bits_words,
+                  bits_words / double(lp.n), "row"});
     }
 
     // -- stage 4 + end to end ------------------------------------------
-    const int iters = fast ? 2 : 2;
+    const int iters = 2;
     bool ok = true;
-    E2e plain = endToEnd(p, false, iters, &ok);
-    E2e piped = endToEnd(p, true, iters, &ok);
+    E2e copy = endToEnd(p, iters, &ok);
 
     net::NetworkModel lan = net::lanNetwork();
     net::NetworkModel wan = net::wanNetwork();
     std::printf("\n  %-26s %10.1f KB/ext   LAN %.1f ms   WAN %.1f ms "
                 "(1 round trip)\n",
-                "wire (measured bytes)", plain.wireBytes / 1024.0,
-                lan.seconds(plain.wireBytes, 1) * 1e3,
-                wan.seconds(plain.wireBytes, 1) * 1e3);
+                "wire (measured bytes)", copy.wireBytes / 1024.0,
+                lan.seconds(copy.wireBytes, 1) * 1e3,
+                wan.seconds(copy.wireBytes, 1) * 1e3);
 
-    std::printf("\nend to end (%d iters, 1 thread):\n", iters);
-    std::printf("  unpipelined engine        %8.2f M OT/s\n",
-                plain.otsPerSec / 1e6);
-    std::printf("  pipelined engine          %8.2f M OT/s\n",
-                piped.otsPerSec / 1e6);
-    if (!fast)
-        std::printf("  PR2 pipelined baseline      5.5-5.9 M OT/s "
-                    "(EXPERIMENTS.md, this container)\n  -> speedup "
-                    "%.2fx (acceptance: >= 1.2x)\n",
-                    std::max(plain.otsPerSec, piped.otsPerSec) / 5.9e6);
+    std::printf("\nend to end (%d iters, 1 engine thread per party, "
+                "%u hardware threads on this host):\n",
+                iters, std::thread::hardware_concurrency());
+    std::printf("  engine (%s)     %8.2f M OT/s\n", p.name.c_str(),
+                copy.otsPerSec / 1e6);
 
     // Scatter-free feed (bucketSize() == treeLeaves()): measured on
     // the aligned tiny set, where the leaf matrix IS the row vector.
-    double sf_ots = 0;
-    {
-        const FerretParams ap = tinyAlignedParams();
-        E2e sf = endToEnd(ap, true, iters, &ok);
-        sf_ots = sf.otsPerSec;
-        std::printf("  scatter-free feed (%s) %8.2f M OT/s "
-                    "(pipelined)\n",
-                    ap.name.c_str(), sf.otsPerSec / 1e6);
-    }
-
-    bench::note("single-core container: the pipeline's async LPN tail "
-                "runs inline (no workers), so stage overlap cannot "
-                "show here; re-measure on multicore.");
+    const FerretParams ap = tinyAlignedParams();
+    const E2e sf = endToEnd(ap, iters, &ok);
+    std::printf("  scatter-free feed (%s) %8.2f M OT/s\n",
+                ap.name.c_str(), sf.otsPerSec / 1e6);
 
     // Regression sentinel for the CI bench-smoke step: a broken
     // correlation or an implausibly slow hot path fails the run.
-    if (plain.otsPerSec < 1e5 || piped.otsPerSec < 1e5)
+    if (copy.otsPerSec < 1e5 || sf.otsPerSec < 1e5)
         ok = false;
 
     // Machine-readable mirror of the table above, for the CI perf
@@ -408,9 +353,8 @@ main()
         j.kv("params", p.name);
         j.kv("n", uint64_t(p.n));
         j.kv("tsc_ghz", tps / 1e9);
-        j.kv("lpn_auto_kernel", LpnEncoder::activeKernelName());
-        j.kv("lpn_auto_prefetch",
-             detail::lpnPrefetchEnabled() ? "on" : "off");
+        j.kv("hardware_threads",
+             uint64_t(std::thread::hardware_concurrency()));
         j.key("stages_cyc_per_unit");
         j.beginObject();
         for (const StageRow &r : g_rows)
@@ -418,10 +362,9 @@ main()
         j.endObject();
         j.key("e2e");
         j.beginObject();
-        j.kv("unpipelined_ots_per_sec", plain.otsPerSec);
-        j.kv("pipelined_ots_per_sec", piped.otsPerSec);
-        j.kv("scatter_free_ots_per_sec", sf_ots);
-        j.kv("wire_bytes_per_ext", plain.wireBytes);
+        j.kv("ots_per_sec", copy.otsPerSec);
+        j.kv("scatter_free_ots_per_sec", sf.otsPerSec);
+        j.kv("wire_bytes_per_ext", copy.wireBytes);
         j.endObject();
         j.kv("ok", uint64_t(ok ? 1 : 0));
     }

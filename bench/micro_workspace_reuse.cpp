@@ -1,18 +1,16 @@
 /**
  * @file
- * Microbench: unpipelined vs pipelined FERRET extension on the
- * workspace engine.
- *
- * Both paths run extendInto() (zero heap allocations once warm); the
- * pipelined path additionally overlaps iteration i's LPN gather-XOR
- * with iteration i+1's SPCOT transcript on the wire and uses the
- * precomputed LPN index tape. A thread sweep shows the fixed-pool
- * batch-SPCOT/LPN scaling.
+ * Microbench: the workspace FERRET engine's extendInto() (zero heap
+ * allocations once warm, LPN index tape replayed) swept over 1, 2 and
+ * 4 pool workers per party, showing the fixed-pool batch-SPCOT/LPN
+ * scaling. Both parties run in this process, so a sweep point uses
+ * up to twice its worker count in hardware threads.
  *
  * Run: ./bench_micro_workspace_reuse   (IRONMAN_BENCH_FAST=1 trims)
  */
 
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -36,7 +34,7 @@ struct Result
 
 /** One measured configuration: @p iters extensions after one warm-up. */
 Result
-measure(const FerretParams &p, bool pipelined, int threads, int iters)
+measure(const FerretParams &p, int threads, int iters)
 {
     Rng dealer(1234);
     Block delta = dealer.nextBlock();
@@ -47,7 +45,6 @@ measure(const FerretParams &p, bool pipelined, int threads, int iters)
         [&](net::Channel &ch) {
             FerretCotSender sender(ch, p, delta, std::move(bs.q));
             sender.setThreads(threads);
-            sender.setPipelined(pipelined);
             Rng rng(1);
             std::vector<Block> out(p.usableOts());
             // Warm-up extension (sizes workspaces, faults pages).
@@ -61,7 +58,6 @@ measure(const FerretParams &p, bool pipelined, int threads, int iters)
             FerretCotReceiver receiver(ch, p, std::move(br.choice),
                                        std::move(br.t));
             receiver.setThreads(threads);
-            receiver.setPipelined(pipelined);
             Rng rng(2);
             BitVec choice;
             std::vector<Block> t(p.usableOts());
@@ -76,13 +72,18 @@ measure(const FerretParams &p, bool pipelined, int threads, int iters)
     return r;
 }
 
+/** The thread sweep on one parameter set. */
 void
-row(const char *label, const FerretParams &p, bool pipelined, int threads,
-    int iters)
+sweep(const FerretParams &p, int iters)
 {
-    Result r = measure(p, pipelined, threads, iters);
-    std::printf("  %-22s %2d thr   %9.0f us/ext   %8.2f M OT/s\n", label,
-                threads, r.usPerExtension, r.otsPerSec / 1e6);
+    std::printf("%s set: n=%zu k=%zu t=%zu l=%zu, %zu usable OTs/ext\n",
+                p.name.c_str(), p.n, p.k, p.t, p.treeLeaves(),
+                p.usableOts());
+    for (int threads : {1, 2, 4}) {
+        const Result r = measure(p, threads, iters);
+        std::printf("  %2d thr/party   %9.0f us/ext   %8.2f M OT/s\n",
+                    threads, r.usPerExtension, r.otsPerSec / 1e6);
+    }
 }
 
 } // namespace
@@ -91,35 +92,15 @@ int
 main()
 {
     bench::banner("micro_workspace_reuse",
-                  "unpipelined vs pipelined FERRET extension");
+                  "FERRET engine extension, 1/2/4 pool workers");
+    std::printf("host: %u hardware threads\n\n",
+                std::thread::hardware_concurrency());
 
     const bool fast = bench::fastMode();
-    const int iters = fast ? 2 : 8;
-
-    FerretParams tiny = tinyTestParams();
-    std::printf("%s set: n=%zu k=%zu t=%zu l=%zu, %zu usable OTs/ext\n",
-                tiny.name.c_str(), tiny.n, tiny.k, tiny.t,
-                tiny.treeLeaves(), tiny.usableOts());
-    row("unpipelined", tiny, false, 1, iters);
-    row("pipelined", tiny, true, 1, iters);
-    row("pipelined", tiny, true, 2, iters);
-    row("pipelined", tiny, true, 4, iters);
-
+    sweep(tinyTestParams(), fast ? 2 : 8);
     if (!fast) {
-        FerretParams big = paperParamSet(20);
-        std::printf("\n%s set: n=%zu k=%zu t=%zu l=%zu, %zu usable "
-                    "OTs/ext\n",
-                    big.name.c_str(), big.n, big.k, big.t,
-                    big.treeLeaves(), big.usableOts());
-        const int big_iters = 2;
-        row("unpipelined", big, false, 1, big_iters);
-        row("pipelined", big, true, 1, big_iters);
-        row("pipelined", big, true, 2, big_iters);
-        row("pipelined", big, true, 4, big_iters);
+        std::printf("\n");
+        sweep(paperParamSet(20), 2);
     }
-
-    bench::note("both rows run extendInto() (zero allocations once "
-                "warm); pipelined additionally overlaps LPN with the "
-                "next SPCOT transcript and replays the LPN index tape");
     return 0;
 }

@@ -52,11 +52,6 @@ ThreadPool::run(size_t count, RangeFn fn, void *ctx)
 {
     if (count == 0)
         return;
-    // asyncPending is only ever toggled by the owning thread (the one
-    // allowed to call run/runAsync/wait), so this unlocked check is
-    // safe — and it must cover the inline fast path too.
-    IRONMAN_CHECK(!asyncPending,
-                  "ThreadPool::run while an async job is pending");
     const int n = threads();
     if (n == 1 || count == 1) {
         fn(ctx, 0, 0, count);
@@ -71,7 +66,6 @@ ThreadPool::run(size_t count, RangeFn fn, void *ctx)
         jobCtx = ctx;
         jobCount = count;
         jobPer = per;
-        jobAsync = false;
         pending = workers.size();
         ++jobGen;
     }
@@ -85,53 +79,12 @@ ThreadPool::run(size_t count, RangeFn fn, void *ctx)
 }
 
 void
-ThreadPool::runAsync(size_t count, RangeFn fn, void *ctx)
-{
-    if (count == 0)
-        return;
-    if (workers.empty()) {
-        // Degenerate pipeline: no background workers, run inline so
-        // the caller's subsequent wait() is a no-op.
-        fn(ctx, 0, 0, count);
-        return;
-    }
-
-    const size_t nw = workers.size();
-    const size_t per = (count + nw - 1) / nw;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        IRONMAN_CHECK(pending == 0 && !asyncPending,
-                      "ThreadPool::runAsync while a job is pending");
-        jobFn = fn;
-        jobCtx = ctx;
-        jobCount = count;
-        jobPer = per;
-        jobAsync = true;
-        pending = nw;
-        asyncPending = true;
-        ++jobGen;
-    }
-    cvStart.notify_all();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex);
-    if (!asyncPending)
-        return;
-    cvDone.wait(lock, [this] { return pending == 0; });
-    asyncPending = false;
-}
-
-void
 ThreadPool::workerMain(int id, uint64_t seen)
 {
     for (;;) {
         RangeFn fn;
         void *ctx;
         size_t count, per;
-        bool async;
         {
             std::unique_lock<std::mutex> lock(mutex);
             cvStart.wait(lock,
@@ -143,12 +96,9 @@ ThreadPool::workerMain(int id, uint64_t seen)
             ctx = jobCtx;
             count = jobCount;
             per = jobPer;
-            async = jobAsync;
         }
 
-        // Async jobs have no caller slice: worker 1 starts at 0.
-        size_t slice = size_t(id) - (async ? 1 : 0);
-        size_t begin = std::min(count, slice * per);
+        size_t begin = std::min(count, size_t(id) * per);
         size_t end = std::min(count, begin + per);
         if (begin < end)
             fn(ctx, id, begin, end);

@@ -74,33 +74,6 @@ class ThreadPool
             &f);
     }
 
-    /**
-     * Launch a job on the background workers ONLY and return
-     * immediately, leaving the calling thread free for other work
-     * (e.g. wire I/O of the next pipeline stage). [0, count) is split
-     * into workers.size() contiguous ranges; fn receives worker ids
-     * 1..workers.size(). With no workers (threads() == 1) the job runs
-     * inline before returning. @p ctx and the data it references must
-     * stay alive until wait(). run()/parallelFor() must not be called
-     * while an async job is pending.
-     */
-    void runAsync(size_t count, RangeFn fn, void *ctx);
-
-    /** Block until the job launched by runAsync() has completed. */
-    void wait();
-
-    /** Async sugar; the callable must outlive the matching wait(). */
-    template <typename F>
-    void
-    parallelForAsync(size_t count, F &f)
-    {
-        runAsync(count,
-                 [](void *ctx, int worker, size_t begin, size_t end) {
-                     (*static_cast<F *>(ctx))(worker, begin, end);
-                 },
-                 &f);
-    }
-
   private:
     void workerMain(int id, uint64_t start_gen);
     void stopWorkers();
@@ -114,10 +87,8 @@ class ThreadPool
     RangeFn jobFn = nullptr;
     void *jobCtx = nullptr;
     size_t jobCount = 0;
-    size_t jobPer = 0;     ///< range width (ceil(count / slices))
-    bool jobAsync = false; ///< workers-only split (no caller slice)
+    size_t jobPer = 0;     ///< range width (ceil(count / threads()))
     size_t pending = 0;    ///< workers still running the current job
-    bool asyncPending = false; ///< a runAsync() awaits wait()
     bool stopping = false;
 };
 

@@ -53,9 +53,10 @@ chosenOtSend(net::Channel &ch, const crypto::Crhf &crhf, const Block *m0,
 }
 
 void
-chosenOtRecvSendDerand(net::Channel &ch, const BitVec &choices,
-                       const BitVec &b, size_t b_offset, size_t n,
-                       ChosenOtScratch &scratch)
+chosenOtRecv(net::Channel &ch, const crypto::Crhf &crhf,
+             const BitVec &choices, const BitVec &b, size_t b_offset,
+             const Block *t, size_t n, Block *out, uint64_t tweak_base,
+             ChosenOtScratch &scratch)
 {
     IRONMAN_CHECK(choices.size() == n);
 
@@ -64,52 +65,21 @@ chosenOtRecvSendDerand(net::Channel &ch, const BitVec &choices,
     for (size_t i = 0; i < n; ++i)
         d.set(i, choices.get(i) ^ b.get(b_offset + i));
     ch.sendBits(d);
-}
 
-void
-chosenOtRecvCiphertexts(net::Channel &ch, size_t n,
-                        ChosenOtScratch &scratch)
-{
     if (scratch.cipher.size() < 2 * n)
         scratch.cipher.resize(2 * n);
     ch.recvBlocks(scratch.cipher.data(), 2 * n);
-}
-
-void
-chosenOtRecvWire(net::Channel &ch, const BitVec &choices, const BitVec &b,
-                 size_t b_offset, size_t n, ChosenOtScratch &scratch)
-{
-    chosenOtRecvSendDerand(ch, choices, b, b_offset, n, scratch);
-    chosenOtRecvCiphertexts(ch, n, scratch);
-}
-
-void
-chosenOtRecvFinish(const crypto::Crhf &crhf, const BitVec &choices,
-                   const Block *t, size_t n, Block *out,
-                   uint64_t tweak_base, ChosenOtScratch &scratch)
-{
-    IRONMAN_CHECK(choices.size() == n);
-    if (scratch.pad0.size() < n)
-        scratch.pad0.resize(n);
 
     // The COT strings are contiguous, so one fused batch hash covers
     // every pad.
+    if (scratch.pad0.size() < n)
+        scratch.pad0.resize(n);
     Block *pads = scratch.pad0.data();
     crhf.hashBatch(t, pads, n, tweak_base);
 
     const Block *cipher = scratch.cipher.data();
     for (size_t i = 0; i < n; ++i)
         out[i] = cipher[2 * i + choices.get(i)] ^ pads[i];
-}
-
-void
-chosenOtRecv(net::Channel &ch, const crypto::Crhf &crhf,
-             const BitVec &choices, const BitVec &b, size_t b_offset,
-             const Block *t, size_t n, Block *out, uint64_t tweak_base,
-             ChosenOtScratch &scratch)
-{
-    chosenOtRecvWire(ch, choices, b, b_offset, n, scratch);
-    chosenOtRecvFinish(crhf, choices, t, n, out, tweak_base, scratch);
 }
 
 // ---------------------------------------------------------------------------
@@ -161,9 +131,11 @@ chosenOtSendPacked(net::Channel &ch, const crypto::Crhf &crhf,
 }
 
 void
-chosenOtRecvSendDerandPacked(net::Channel &ch, const BitVec &choices,
-                             const BitVec &b, size_t b_offset, size_t n,
-                             ChosenOtScratch &scratch)
+chosenOtRecvPacked(net::Channel &ch, const crypto::Crhf &crhf,
+                   const BitVec &choices, const BitVec &b, size_t b_offset,
+                   const Block *t, size_t n, unsigned wire_width,
+                   Block *out, uint64_t tweak_base,
+                   ChosenOtScratch &scratch)
 {
     IRONMAN_CHECK(choices.size() == n);
     BitVec &d = scratch.d;
@@ -171,29 +143,14 @@ chosenOtRecvSendDerandPacked(net::Channel &ch, const BitVec &choices,
     for (size_t i = 0; i < n; ++i)
         d.set(i, choices.get(i) ^ b.get(b_offset + i));
     ch.sendBytes(d.rawWords().data(), (n + 7) / 8);
-}
 
-void
-chosenOtRecvCiphertextsPacked(net::Channel &ch, size_t n,
-                              unsigned wire_width,
-                              ChosenOtScratch &scratch)
-{
     const size_t bytes = net::packedLaneBytes(2 * n, wire_width);
     if (scratch.packed.size() < bytes)
         scratch.packed.resize(bytes);
     ch.recvBytes(scratch.packed.data(), bytes);
-}
 
-void
-chosenOtRecvFinishPacked(const crypto::Crhf &crhf, const BitVec &choices,
-                         const Block *t, size_t n, unsigned wire_width,
-                         Block *out, uint64_t tweak_base,
-                         ChosenOtScratch &scratch)
-{
-    IRONMAN_CHECK(choices.size() == n);
     if (scratch.pad0.size() < n)
         scratch.pad0.resize(n);
-
     Block *pads = scratch.pad0.data();
     crhf.hashBatch(t, pads, n, tweak_base);
 
@@ -204,19 +161,6 @@ chosenOtRecvFinishPacked(const crypto::Crhf &crhf, const BitVec &choices,
         out[i] = Block::fromUint64(
             maskWidth(lane ^ pads[i].lo, wire_width));
     }
-}
-
-void
-chosenOtRecvPacked(net::Channel &ch, const crypto::Crhf &crhf,
-                   const BitVec &choices, const BitVec &b, size_t b_offset,
-                   const Block *t, size_t n, unsigned wire_width,
-                   Block *out, uint64_t tweak_base,
-                   ChosenOtScratch &scratch)
-{
-    chosenOtRecvSendDerandPacked(ch, choices, b, b_offset, n, scratch);
-    chosenOtRecvCiphertextsPacked(ch, n, wire_width, scratch);
-    chosenOtRecvFinishPacked(crhf, choices, t, n, wire_width, out,
-                             tweak_base, scratch);
 }
 
 } // namespace ironman::ot

@@ -14,13 +14,6 @@
  * The batch API moves all bits, then all ciphertexts, in single
  * messages so a batch is one round regardless of size; all pad hashes
  * go through Crhf::hashBatch (fused 8-wide MMO on AES-NI).
- *
- * The receiver side is additionally split into a wire stage
- * (chosenOtRecvWire: send d, receive the ciphertexts) and a compute
- * stage (chosenOtRecvFinish: hash t, unmask). The FERRET iteration
- * pipeline exploits the split: the wire stage of extension i+1 needs
- * only choice bits, while the unmask needs base strings that extension
- * i's LPN encode is still producing.
  */
 
 #ifndef IRONMAN_OT_CHOSEN_OT_H
@@ -66,33 +59,12 @@ void chosenOtSend(net::Channel &ch, const crypto::Crhf &crhf,
                   ChosenOtScratch &scratch);
 
 /**
- * Receiver wire stage, outbound half: send the derandomization bits
- * d = choices ^ b. Depends only on bits — no COT strings needed yet.
+ * Receiver side of a batched chosen OT: send d = choices ^ b (base-COT
+ * choice bits b[b_offset ...]), receive the 2n ciphertexts, and unmask
+ * the chosen one of each pair with the batch-hashed COT strings @p t
+ * into @p out. Wire buffers live in @p scratch; allocation-free once
+ * warm.
  */
-void chosenOtRecvSendDerand(net::Channel &ch, const BitVec &choices,
-                            const BitVec &b, size_t b_offset, size_t n,
-                            ChosenOtScratch &scratch);
-
-/** Receiver wire stage, inbound half: the 2n ciphertexts into
- * scratch.cipher. */
-void chosenOtRecvCiphertexts(net::Channel &ch, size_t n,
-                             ChosenOtScratch &scratch);
-
-/** Both wire halves back to back. */
-void chosenOtRecvWire(net::Channel &ch, const BitVec &choices,
-                      const BitVec &b, size_t b_offset, size_t n,
-                      ChosenOtScratch &scratch);
-
-/**
- * Receiver compute stage: batch-hash the COT strings @p t and unmask
- * the chosen ciphertext of each pair received by chosenOtRecvWire()
- * into @p out.
- */
-void chosenOtRecvFinish(const crypto::Crhf &crhf, const BitVec &choices,
-                        const Block *t, size_t n, Block *out,
-                        uint64_t tweak_base, ChosenOtScratch &scratch);
-
-/** Both receiver stages back to back (the unpipelined path). */
 void chosenOtRecv(net::Channel &ch, const crypto::Crhf &crhf,
                   const BitVec &choices, const BitVec &b, size_t b_offset,
                   const Block *t, size_t n, Block *out, uint64_t tweak_base,
@@ -122,24 +94,7 @@ void chosenOtSendPacked(net::Channel &ch, const crypto::Crhf &crhf,
                         const Block *q, uint64_t tweak_base,
                         ChosenOtScratch &scratch);
 
-/** Packed derand send: ceil(n/8) raw bytes, no length prefix. */
-void chosenOtRecvSendDerandPacked(net::Channel &ch, const BitVec &choices,
-                                  const BitVec &b, size_t b_offset,
-                                  size_t n, ChosenOtScratch &scratch);
-
-/** Packed inbound half: the 2n lanes into scratch.packed. */
-void chosenOtRecvCiphertextsPacked(net::Channel &ch, size_t n,
-                                   unsigned wire_width,
-                                   ChosenOtScratch &scratch);
-
-/** Packed compute stage: unmask the chosen lane of each pair. */
-void chosenOtRecvFinishPacked(const crypto::Crhf &crhf,
-                              const BitVec &choices, const Block *t,
-                              size_t n, unsigned wire_width, Block *out,
-                              uint64_t tweak_base,
-                              ChosenOtScratch &scratch);
-
-/** Packed receiver, both stages back to back. */
+/** Packed receiver: raw derand bits out, the chosen lanes unmasked. */
 void chosenOtRecvPacked(net::Channel &ch, const crypto::Crhf &crhf,
                         const BitVec &choices, const BitVec &b,
                         size_t b_offset, const Block *t, size_t n,

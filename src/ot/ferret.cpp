@@ -62,28 +62,38 @@ spcotConfigOf(const FerretParams &p)
 }
 
 /**
- * Encode rows [row0, row0+count) through the tape when one is built,
- * falling back to the streaming scratch path (2^23+ sets, above the
- * tape memory cap). Output is identical either way.
+ * Pool-parallel LPN encode of rows [0, count) through the tape when
+ * one is built, falling back to the streaming scratch path (2^23+
+ * sets, above the tape memory cap). Output is identical either way.
  */
 void
-encodeRange(const LpnEncoder &enc, OtWorkspace &ws, const Block *in,
-            Block *inout, size_t row0, size_t count, int scratch_idx)
-{
-    if (ws.tape.ready())
-        enc.encodeBlocksTape(in, inout, row0, count, ws.tape);
-    else
-        enc.encodeBlocks(in, inout, row0, count, ws.lpn[scratch_idx]);
-}
-
-/** Pool-parallel encodeRange over rows [row0, row0+count). */
-void
 encodePooled(const LpnEncoder &enc, OtWorkspace &ws, const Block *in,
-             Block *inout, size_t row0, size_t count)
+             Block *inout, size_t count)
 {
     ws.pool.parallelFor(count, [&](int worker, size_t lo, size_t hi) {
-        encodeRange(enc, ws, in, inout + lo, row0 + lo, hi - lo, worker);
+        if (ws.tape.ready())
+            enc.encodeBlocksTape(in, inout + lo, lo, hi - lo, ws.tape);
+        else
+            enc.encodeBlocks(in, inout + lo, lo, hi - lo, ws.lpn[worker]);
     });
+}
+
+/**
+ * Copy each tree's first bucketSize() leaves into its bucket of the
+ * n staging rows. A no-op on the scatter-free feed, where the leaf
+ * matrix already is the row vector.
+ */
+void
+scatterLeaves(const FerretParams &p, OtWorkspace &ws)
+{
+    if (ws.scatterFree())
+        return;
+    const size_t bucket = p.bucketSize();
+    for (size_t tr = 0; tr < p.t; ++tr) {
+        const size_t row0 = tr * bucket;
+        std::copy_n(ws.leaf + tr * p.treeLeaves(),
+                    std::min(bucket, p.n - row0), ws.rows + row0);
+    }
 }
 
 /**
@@ -131,22 +141,15 @@ FerretCotSender::resetSession(net::Channel &channel, const Block &delta,
     ch = &channel;
     delta_ = delta;
     baseQ.assign(base, base + n);
-    // A prefetched transcript of the previous session (if any) is
-    // abandoned with its session: the new base reserve replaces the
-    // material it was derandomized against.
     tweak = 1;
-    havePending = false;
-    slotCur = 0;
 }
 
 void
 FerretCotSender::prewarm()
 {
-    const bool sf = scatterFree_ && OtWorkspace::scatterFreeFeed(p);
-    ws.prepare(p, threads, pipelined_ ? 2 : 1, sf);
+    ws.prepare(p, threads, scatterFree_);
     ensureTape();
     baseQ.reserve(p.reservedCots());
-    baseNext.reserve(p.reservedCots());
 }
 
 void
@@ -162,131 +165,38 @@ FerretCotSender::extendInto(Rng &rng, Block *out)
     const bool traced = sampleThisExtension();
     IRONMAN_CHECK(ch && baseQ.size() >= p.reservedCots(),
                   "engine not bound to a session (resetSession)");
-    // Scatter-free feed: every bucket is one whole tree, so SPCOT
-    // writes straight into the LPN row slots and the leaf -> rows
-    // pass disappears (the arena aliases rows onto the leaf slots).
-    // Like the pipeline toggle, the mode must not flip while a
-    // prefetched transcript occupies a slot (prepare() re-carves).
-    const bool sf = scatterFree_ && OtWorkspace::scatterFreeFeed(p);
-    IRONMAN_CHECK(!havePending || ws.scatterFree() == sf,
-                  "setScatterFree with a transcript in flight");
-    ws.prepare(p, threads, pipelined_ ? 2 : 1, sf);
+    ws.prepare(p, threads, scatterFree_);
     ensureTape();
-    const SpcotConfig cfg = spcotConfigOf(p);
-    const size_t bucket = p.bucketSize();
-    const size_t leaves = p.treeLeaves();
-    const size_t spcot_cots = p.t * p.cotsPerTree();
-    const size_t reserved = p.k + spcot_cots;
+    const size_t reserved = p.reservedCots();
     uint64_t prg_ops = 0;
 
-    if (!pipelined_) {
-        // A prefetched transcript in flight cannot be discarded: its
-        // derandomization bits already spent base-COT material, and
-        // re-running SPCOT over the same reserve would leak choice
-        // bits. Flip modes only on engines with no pending transcript.
-        IRONMAN_CHECK(!havePending,
-                      "setPipelined(false) with a transcript in flight");
+    // 1. Split the base reserve.
+    const Block *lpn_r = baseQ.data();         // k entries
+    const Block *spcot_q = baseQ.data() + p.k; // t*log2(l) entries
 
-        // 1. Split the base reserve.
-        const Block *lpn_r = baseQ.data();         // k entries
-        const Block *spcot_q = baseQ.data() + p.k; // t*log2(l) entries
-
-        // 2. Interactive SPCOT into the workspace leaf matrix — in
-        // scatter-free mode that matrix IS the w vector.
-        Timer phase;
-        spcotSendInto(*ch, cfg, p.t, delta_, spcot_q, rng, tweak, ws.pool,
-                      ws.spcot, ws.leaf[0], &prg_ops);
-        const uint64_t spcot_us = uint64_t(phase.seconds() * 1e6);
-        stats_.add("spcot_us", spcot_us);
-        stats_.add("spcot_prg_ops", prg_ops);
-        phaseSpan(traced, "spcot_send", spcot_us, prg_ops);
-
-        // 3. Scatter tree leaves into the length-n w vector (no-op
-        // when scatter-free), then LPN.
-        phase.reset();
-        Block *z = sf ? ws.leaf[0] : ws.rows;
-        if (!sf)
-            for (size_t tr = 0; tr < p.t; ++tr) {
-                size_t row0 = tr * bucket;
-                size_t width = std::min(bucket, p.n - row0);
-                std::copy_n(ws.leaf[0] + tr * leaves, width, z + row0);
-            }
-        encodePooled(encoder, ws, lpn_r, z, 0, p.n);
-        const uint64_t lpn_us = uint64_t(phase.seconds() * 1e6);
-        stats_.add("lpn_us", lpn_us);
-        phaseSpan(traced, "lpn_encode", lpn_us, p.n);
-
-        // 4. Bootstrap: re-reserve, hand out the rest.
-        baseQ.assign(z, z + reserved);
-        std::copy(z + reserved, z + p.n, out);
-
-        stats_.add("extend_us", uint64_t(total.seconds() * 1e6));
-        stats_.add("extensions", 1);
-        stats_.add("output_cots", p.n - reserved);
-        return;
-    }
-
-    // Pipelined steady state. Slot slotCur holds this iteration's
-    // already-expanded leaves (prefetched by the previous call); the
-    // cold first call exchanges its own transcript inline.
+    // 2. Interactive SPCOT into the workspace leaf matrix — in
+    // scatter-free mode that matrix IS the w vector.
     Timer phase;
-    if (!havePending)
-        spcotSendTranscript(*ch, cfg, p.t, delta_, baseQ.data() + p.k,
-                            rng, tweak, &ws.pool, ws.spcot,
-                            ws.leaf[slotCur], &prg_ops);
-
-    // Scatter the pending leaves (scatter-free: slot slotCur already
-    // IS the row vector), then encode the reserve prefix eagerly —
-    // the next transcript's chosen-OT pads need q' = z[k..reserved).
-    phase.reset();
-    Block *z = sf ? ws.leaf[slotCur] : ws.rows;
-    const Block *lpn_r = baseQ.data();
-    if (!sf)
-        for (size_t tr = 0; tr < p.t; ++tr) {
-            size_t row0 = tr * bucket;
-            size_t width = std::min(bucket, p.n - row0);
-            std::copy_n(ws.leaf[slotCur] + tr * leaves, width, z + row0);
-        }
-    encodePooled(encoder, ws, lpn_r, z, 0, reserved);
-    baseNext.assign(z, z + reserved);
-    const uint64_t lpn_prefix_us = uint64_t(phase.seconds() * 1e6);
-    stats_.add("lpn_prefix_us", lpn_prefix_us);
-    phaseSpan(traced, "lpn_prefix", lpn_prefix_us, reserved);
-
-    // Hand the output tail to the pool workers and, while they
-    // gather-XOR, push iteration i+1's SPCOT transcript from this
-    // thread (expansion runs serially here — the pool is busy; the
-    // partition never changes the bits). Stage-handoff invariant:
-    // slot slotCur is free (scattered above), the transcript writes
-    // slot slotCur^1.
-    phase.reset();
-    auto encode_tail = [&](int worker, size_t lo, size_t hi) {
-        encodeRange(encoder, ws, lpn_r, z + reserved + lo,
-                    reserved + lo, hi - lo, worker);
-    };
-    ws.pool.parallelForAsync(p.n - reserved, encode_tail);
-
-    const int next = slotCur ^ 1;
-    uint64_t prefetch_ops = 0;
-    Timer spcot_timer;
-    spcotSendTranscript(*ch, cfg, p.t, delta_, baseNext.data() + p.k,
-                        rng, tweak, /*pool=*/nullptr, ws.spcot,
-                        ws.leaf[next], &prefetch_ops);
-    const uint64_t spcot_us = uint64_t(spcot_timer.seconds() * 1e6);
+    spcotSendInto(*ch, spcotConfigOf(p), p.t, delta_, spcot_q, rng, tweak,
+                  ws.pool, ws.spcot, ws.leaf, &prg_ops);
+    const uint64_t spcot_us = uint64_t(phase.seconds() * 1e6);
     stats_.add("spcot_us", spcot_us);
-    phaseSpan(traced, "spcot_transcript", spcot_us, prefetch_ops);
+    stats_.add("spcot_prg_ops", prg_ops);
+    phaseSpan(traced, "spcot_send", spcot_us, prg_ops);
 
-    ws.pool.wait();
+    // 3. Scatter tree leaves into the length-n w vector, then LPN.
+    phase.reset();
+    Block *z = ws.rows;
+    scatterLeaves(p, ws);
+    encodePooled(encoder, ws, lpn_r, z, p.n);
     const uint64_t lpn_us = uint64_t(phase.seconds() * 1e6);
     stats_.add("lpn_us", lpn_us);
     phaseSpan(traced, "lpn_encode", lpn_us, p.n);
+
+    // 4. Bootstrap: re-reserve, hand out the rest.
+    baseQ.assign(z, z + reserved);
     std::copy(z + reserved, z + p.n, out);
 
-    baseQ.swap(baseNext);
-    slotCur = next;
-    havePending = true;
-
-    stats_.add("spcot_prg_ops", prg_ops + prefetch_ops);
     stats_.add("extend_us", uint64_t(total.seconds() * 1e6));
     stats_.add("extensions", 1);
     stats_.add("output_cots", p.n - reserved);
@@ -323,20 +233,15 @@ FerretCotReceiver::resetSession(net::Channel &channel,
     ch = &channel;
     baseChoice.assignRange(base_choice, 0, n);
     baseT.assign(base_t, base_t + n);
-    // Abandon any prefetched transcript of the previous session.
     tweak = 1;
-    havePending = false;
-    slotCur = 0;
 }
 
 void
 FerretCotReceiver::prewarm()
 {
-    const bool sf = scatterFree_ && OtWorkspace::scatterFreeFeed(p);
-    ws.prepare(p, threads, 1, sf);
+    ws.prepare(p, threads, scatterFree_);
     ensureTape();
     baseT.reserve(p.reservedCots());
-    baseTNext.reserve(p.reservedCots());
 }
 
 void
@@ -352,163 +257,54 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
     const bool traced = sampleThisExtension();
     IRONMAN_CHECK(ch && baseT.size() >= p.reservedCots(),
                   "engine not bound to a session (resetSession)");
-    // See the sender: scatter-free aliases the single leaf slot onto
-    // the row vector, so reconstruction writes y directly.
-    const bool sf = scatterFree_ && OtWorkspace::scatterFreeFeed(p);
-    IRONMAN_CHECK(!havePending || ws.scatterFree() == sf,
-                  "setScatterFree with a transcript in flight");
-    ws.prepare(p, threads, 1, sf);
+    ws.prepare(p, threads, scatterFree_);
     ensureTape();
-    const SpcotConfig cfg = spcotConfigOf(p);
     const size_t bucket = p.bucketSize();
-    const size_t leaves = p.treeLeaves();
-    const size_t spcot_cots = p.t * p.cotsPerTree();
-    const size_t reserved = p.k + spcot_cots;
+    const size_t reserved = p.reservedCots();
     uint64_t prg_ops = 0;
 
-    auto draw_alphas = [&] {
-        for (size_t tr = 0; tr < p.t; ++tr) {
-            size_t row0 = tr * bucket;
-            size_t width = std::min(bucket, p.n - row0);
-            ws.alphas[tr] = rng.nextBelow(width);
-        }
-    };
+    // 1. Split the base reserve: bits e / blocks s feed LPN, the rest
+    // feeds SPCOT.
+    ws.e.assignRange(baseChoice, 0, p.k);
+    const Block *lpn_s = baseT.data();
 
-    auto encode_bits = [&](const BitVec &in, BitVec &inout) {
-        if (ws.tape.ready())
-            encoder.encodeBitsTape(in, inout, ws.tape);
-        else
-            encoder.encodeBits(in, inout, ws.lpn[0]);
-    };
-
-    if (!pipelined_) {
-        // See the sender: a pending prefetched transcript must not be
-        // dropped (its derandomization bits spent base-COT material).
-        IRONMAN_CHECK(!havePending,
-                      "setPipelined(false) with a transcript in flight");
-
-        // 1. Split the base reserve: bits e / blocks s feed LPN, the
-        // rest feeds SPCOT.
-        ws.e.assignRange(baseChoice, 0, p.k);
-        const Block *lpn_s = baseT.data();
-
-        // 2. Sample one punctured position per bucket and run SPCOT.
-        draw_alphas();
-
-        Timer phase;
-        spcotRecvInto(*ch, cfg, p.t, ws.alphas.data(), baseChoice, p.k,
-                      baseT.data() + p.k, tweak, ws.pool, ws.spcot,
-                      ws.leaf[0], &prg_ops);
-        const uint64_t spcot_us = uint64_t(phase.seconds() * 1e6);
-        stats_.add("spcot_us", spcot_us);
-        stats_.add("spcot_prg_ops", prg_ops);
-        phaseSpan(traced, "spcot_recv", spcot_us, prg_ops);
-
-        // 3. Build (u, v) over the n rows (scatter-free: the leaf
-        // matrix already is v), then LPN-encode into (x, y).
-        phase.reset();
-        ws.x.resize(p.n);
-        ws.x.zeroAll();
-        Block *y = sf ? ws.leaf[0] : ws.rows;
-        for (size_t tr = 0; tr < p.t; ++tr) {
-            size_t row0 = tr * bucket;
-            size_t width = std::min(bucket, p.n - row0);
-            if (!sf)
-                std::copy_n(ws.leaf[0] + tr * leaves, width, y + row0);
-            ws.x.set(row0 + ws.alphas[tr], true);
-        }
-        encode_bits(ws.e, ws.x);
-        encodePooled(encoder, ws, lpn_s, y, 0, p.n);
-        const uint64_t lpn_us = uint64_t(phase.seconds() * 1e6);
-        stats_.add("lpn_us", lpn_us);
-        phaseSpan(traced, "lpn_encode", lpn_us, p.n);
-
-        // 4. Bootstrap.
-        baseChoice.assignRange(ws.x, 0, reserved);
-        baseT.assign(y, y + reserved);
-
-        choice_out.assignRange(ws.x, reserved, p.n - reserved);
-        std::copy(y + reserved, y + p.n, t_out);
-
-        stats_.add("extend_us", uint64_t(total.seconds() * 1e6));
-        stats_.add("extensions", 1);
-        stats_.add("output_cots", p.n - reserved);
-        return;
-    }
-
-    // Pipelined steady state. slots[slotCur] holds this iteration's
-    // transcript (ciphertexts + masked sums), pulled off the wire by
-    // the previous call; only the unmask — which needs this call's
-    // now-complete base reserve — and the tree reconstruction remain.
-    ws.spcot.prepare(cfg, p.t, ws.pool.threads(), /*for_sender=*/false);
-    SpcotRecvSlot *slot = &ws.spcot.slots[slotCur];
+    // 2. Sample one punctured position per bucket and run SPCOT.
+    for (size_t tr = 0; tr < p.t; ++tr)
+        ws.alphas[tr] = rng.nextBelow(std::min(bucket, p.n - tr * bucket));
 
     Timer phase;
-    if (!havePending) {
-        draw_alphas();
-        spcotRecvSendChoices(*ch, cfg, p.t, ws.alphas.data(), baseChoice,
-                             p.k, tweak, ws.spcot, *slot);
-        spcotRecvRecvTranscript(*ch, cfg, p.t, ws.spcot, *slot);
-    }
-    spcotRecvFinish(cfg, p.t, baseT.data() + p.k, ws.pool, ws.spcot,
-                    *slot, ws.leaf[0], &prg_ops);
+    spcotRecvInto(*ch, spcotConfigOf(p), p.t, ws.alphas.data(), baseChoice,
+                  p.k, baseT.data() + p.k, tweak, ws.pool, ws.spcot,
+                  ws.leaf, &prg_ops);
     const uint64_t spcot_us = uint64_t(phase.seconds() * 1e6);
     stats_.add("spcot_us", spcot_us);
     stats_.add("spcot_prg_ops", prg_ops);
-    phaseSpan(traced, "spcot_finish", spcot_us, prg_ops);
+    phaseSpan(traced, "spcot_recv", spcot_us, prg_ops);
 
-    // Bit-LPN first: the next transcript's derandomization bits need
-    // only x = e*A ^ u.
+    // 3. Build (u, v) over the n rows (scatter-free: the leaf matrix
+    // already is v), then LPN-encode into (x, y).
     phase.reset();
-    ws.e.assignRange(baseChoice, 0, p.k);
+    Block *y = ws.rows;
+    scatterLeaves(p, ws);
     ws.x.resize(p.n);
     ws.x.zeroAll();
-    Block *y = sf ? ws.leaf[0] : ws.rows;
-    const Block *lpn_s = baseT.data();
-    for (size_t tr = 0; tr < p.t; ++tr) {
-        size_t row0 = tr * bucket;
-        size_t width = std::min(bucket, p.n - row0);
-        if (!sf)
-            std::copy_n(ws.leaf[0] + tr * leaves, width, y + row0);
-        ws.x.set(row0 + slot->alphas[tr], true);
-    }
-    encode_bits(ws.e, ws.x);
-    const uint64_t lpn_bits_us = uint64_t(phase.seconds() * 1e6);
-    stats_.add("lpn_bits_us", lpn_bits_us);
-    phaseSpan(traced, "lpn_bits", lpn_bits_us, p.n);
-
-    // Prefetch iteration i+1: choices out, then the block LPN runs on
-    // the workers while this thread blocks on the returning
-    // ciphertexts. Stage-handoff invariant: the next transcript fills
-    // slots[slotCur^1] while the LPN stage still reads slots[slotCur]'s
-    // alphas (and nothing else of it).
-    SpcotRecvSlot *next_slot = &ws.spcot.slots[slotCur ^ 1];
-    draw_alphas();
-    spcotRecvSendChoices(*ch, cfg, p.t, ws.alphas.data(), ws.x, p.k,
-                         tweak, ws.spcot, *next_slot);
-
-    phase.reset();
-    auto encode_blocks = [&](int worker, size_t lo, size_t hi) {
-        encodeRange(encoder, ws, lpn_s, y + lo, lo, hi - lo, worker);
-    };
-    ws.pool.parallelForAsync(p.n, encode_blocks);
-    spcotRecvRecvTranscript(*ch, cfg, p.t, ws.spcot, *next_slot);
-    ws.pool.wait();
+    for (size_t tr = 0; tr < p.t; ++tr)
+        ws.x.set(tr * bucket + ws.alphas[tr], true);
+    if (ws.tape.ready())
+        encoder.encodeBitsTape(ws.e, ws.x, ws.tape);
+    else
+        encoder.encodeBits(ws.e, ws.x, ws.lpn[0]);
+    encodePooled(encoder, ws, lpn_s, y, p.n);
     const uint64_t lpn_us = uint64_t(phase.seconds() * 1e6);
     stats_.add("lpn_us", lpn_us);
     phaseSpan(traced, "lpn_encode", lpn_us, p.n);
 
-    // Bootstrap + output.
-    baseTNext.assign(y, y + reserved);
-    baseT.swap(baseTNext);
-    choiceNext.assignRange(ws.x, 0, reserved);
-    std::swap(baseChoice, choiceNext);
+    // 4. Bootstrap.
+    baseChoice.assignRange(ws.x, 0, reserved);
+    baseT.assign(y, y + reserved);
 
     choice_out.assignRange(ws.x, reserved, p.n - reserved);
     std::copy(y + reserved, y + p.n, t_out);
-
-    slotCur ^= 1;
-    havePending = true;
 
     stats_.add("extend_us", uint64_t(total.seconds() * 1e6));
     stats_.add("extensions", 1);

@@ -15,27 +15,10 @@
  *   4. Bootstrap: the first reservedCots() outputs become the next
  *      base reserve; the remaining usableOts() are handed out.
  *
- * In the default PIPELINED mode the engine overlaps consecutive
- * extensions: while iteration i's LPN encode runs on the pool
- * workers, iteration i+1's SPCOT transcript is already crossing the
- * wire on the calling thread (see DESIGN.md §2, "The iteration
- * pipeline"). The dependency that makes this legal:
- *
- *   - the sender's next transcript needs q' = z_i[k..reserved), so
- *     the reserve prefix of z is encoded eagerly before the output
- *     tail is handed to the workers;
- *   - the receiver's next derandomization bits need only the CHOICE
- *     BITS x_i (the cheap bit-LPN), while the unmask of the received
- *     ciphertexts — which needs the block reserve y_i — is deferred
- *     to the next call (SpcotRecvSlot holds the pending transcript).
- *
- * Pipelined output is bit-identical to unpipelined output for equal
- * RNG seeds (tests/test_ferret_pipeline.cpp): every value is computed
- * from the same inputs, just earlier. Both parties MUST run the same
- * mode — the pipelined peer leaves one prefetched transcript in
- * flight per steady-state call, which an unpipelined peer would never
- * answer. Between calls the channel is fully drained, so engines can
- * be multiplexed (ppml::FerretCotEngine interleaves two directions).
+ * The engine runs these steps back to back on the calling thread
+ * (the SPCOT and LPN kernels fan out over the engine's pool), so
+ * between calls the channel is fully drained and engines can be
+ * multiplexed (ppml::FerretCotEngine interleaves two directions).
  *
  * Each endpoint owns an OtWorkspace (arena + fixed thread pool + the
  * precomputed LPN index tape), so extendInto() performs zero heap
@@ -87,9 +70,8 @@ class FerretCotSender
 
     /**
      * Bind this engine to a new session: fresh channel, offset and
-     * base reserve; protocol state (tweak, pipeline slots, any
-     * prefetched transcript of the previous session) is reset so the
-     * engine behaves bit-identically to a freshly constructed one.
+     * base reserve; the protocol state (the hash tweak) is reset so
+     * the engine behaves bit-identically to a freshly constructed one.
      * Allocation-free once the engine has run one warm extension
      * (DESIGN.md invariant 12) — the base reserve is copied into
      * retained storage.
@@ -119,20 +101,12 @@ class FerretCotSender
     void setThreads(int n) { threads = n > 1 ? n : 1; }
 
     /**
-     * Toggle the iteration pipeline (default on). Must match the
-     * receiver's setting; flip only between extensions, never while a
-     * transcript is in flight.
-     */
-    void setPipelined(bool on) { pipelined_ = on; }
-    bool pipelined() const { return pipelined_; }
-
-    /**
      * Toggle the scatter-free LPN feed (default on; local-only, the
      * peer may differ). Effective only when bucketSize() ==
      * treeLeaves(): SPCOT then expands straight into the LPN row
      * vector and the leaf->rows pass disappears. Off forces the
      * copying feed (tests compare the two). Flip only between
-     * extensions with no transcript in flight.
+     * extensions.
      */
     void setScatterFree(bool on) { scatterFree_ = on; }
 
@@ -146,14 +120,10 @@ class FerretCotSender
     FerretParams p;
     Block delta_;
     std::vector<Block> baseQ;
-    std::vector<Block> baseNext; ///< pipelined: next reserve staging
     LpnEncoder encoder;
     uint64_t tweak = 1;
     int threads = 1;
-    bool pipelined_ = true;
     bool scatterFree_ = true;
-    bool havePending = false; ///< leaf slot slotCur holds a transcript
-    int slotCur = 0;
     OtWorkspace ws;
     StatSet stats_;
 };
@@ -185,10 +155,6 @@ class FerretCotReceiver
     const FerretParams &params() const { return p; }
     void setThreads(int n) { threads = n > 1 ? n : 1; }
 
-    /** Toggle the iteration pipeline; see FerretCotSender. */
-    void setPipelined(bool on) { pipelined_ = on; }
-    bool pipelined() const { return pipelined_; }
-
     /** Toggle the scatter-free LPN feed; see FerretCotSender. */
     void setScatterFree(bool on) { scatterFree_ = on; }
 
@@ -200,16 +166,11 @@ class FerretCotReceiver
     net::Channel *ch = nullptr; ///< bound per session; never null in extendInto
     FerretParams p;
     BitVec baseChoice;
-    BitVec choiceNext;       ///< pipelined: next choice reserve staging
     std::vector<Block> baseT;
-    std::vector<Block> baseTNext; ///< pipelined: next reserve staging
     LpnEncoder encoder;
     uint64_t tweak = 1;
     int threads = 1;
-    bool pipelined_ = true;
     bool scatterFree_ = true;
-    bool havePending = false; ///< slots[slotCur] holds a transcript
-    int slotCur = 0;
     OtWorkspace ws;
     StatSet stats_;
 };

@@ -1,7 +1,7 @@
 /**
  * @file
- * AVX2 engine of the LPN gather-XOR. This translation unit is the only
- * one compiled with -mavx2; dispatch in lpn.cpp is guarded by a
+ * AVX2 bit kernel of the LPN gather-XOR. This translation unit is the
+ * only one compiled with -mavx2; dispatch in lpn.cpp is guarded by a
  * runtime CPUID check (mirroring the AES-NI engine in
  * crypto/aes_ni.cpp), so the binary still runs on SSE2-only machines.
  */
@@ -31,155 +31,7 @@ namespace {
 
 constexpr size_t kLane = LpnIndexTape::kLane;
 
-/**
- * Prefetch one lane group's k-vector taps (the only randomly
- * addressed stream; the tape reads sequentially). Mirrors the
- * prefetchGroupTaps helper of the scalar/SSE2 kernels in lpn.cpp.
- */
-inline void
-prefetchGroupTaps(const Block *in, const uint32_t *group_tape,
-                  unsigned d)
-{
-    for (unsigned i = 0; i < d; ++i) {
-        const uint32_t *gi = group_tape + i * kLane;
-        for (size_t x = 0; x < kLane; ++x)
-            _mm_prefetch(reinterpret_cast<const char *>(in + gi[x]),
-                         _MM_HINT_T0);
-    }
-}
-
-void
-scalarRows(const Block *in, Block *inout, const uint32_t *tape,
-           size_t row0, size_t count, unsigned d)
-{
-    for (size_t j = 0; j < count; ++j) {
-        const size_t r = row0 + j;
-        const uint32_t *g = tape + (r / kLane) * size_t(d) * kLane +
-                            (r % kLane);
-        Block acc = inout[j];
-        for (unsigned i = 0; i < d; ++i)
-            acc ^= in[g[i * kLane]];
-        inout[j] = acc;
-    }
-}
-
 } // namespace
-
-void
-lpnGatherXorAvx2(const Block *in, Block *inout, const uint32_t *tape,
-                 size_t row0, size_t count, unsigned d)
-{
-    const bool pf = lpnPrefetchEnabled();
-    size_t j = 0;
-    while (j < count && ((row0 + j) % kLane) != 0) {
-        scalarRows(in, inout + j, tape, row0 + j, 1, d);
-        ++j;
-    }
-
-    // Four 256-bit accumulators cover one 8-row group (adjacent output
-    // rows are contiguous, so each ymm holds two rows). The gathered
-    // 16-byte inputs land at random addresses and are paired with one
-    // vinserti128 per two taps; the next group's taps prefetch while
-    // this group's XOR chains retire.
-    for (; j + kLane <= count; j += kLane) {
-        const size_t r = row0 + j;
-        const uint32_t *g = tape + (r / kLane) * size_t(d) * kLane;
-        if (pf && j + 2 * kLane <= count)
-            prefetchGroupTaps(in, g + size_t(d) * kLane, d);
-        __m256i acc[kLane / 2];
-        for (size_t x = 0; x < kLane / 2; ++x)
-            acc[x] = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(inout + j + 2 * x));
-        for (unsigned i = 0; i < d; ++i) {
-            const uint32_t *gi = g + i * kLane;
-            for (size_t x = 0; x < kLane / 2; ++x) {
-                __m128i lo = _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(in + gi[2 * x]));
-                __m128i hi = _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(
-                        in + gi[2 * x + 1]));
-                __m256i pair = _mm256_inserti128_si256(
-                    _mm256_castsi128_si256(lo), hi, 1);
-                acc[x] = _mm256_xor_si256(acc[x], pair);
-            }
-        }
-        for (size_t x = 0; x < kLane / 2; ++x)
-            _mm256_storeu_si256(
-                reinterpret_cast<__m256i *>(inout + j + 2 * x), acc[x]);
-    }
-
-    if (j < count)
-        scalarRows(in, inout + j, tape, row0 + j, count - j, d);
-}
-
-void
-lpnGatherXorAvx2Gather(const Block *in, Block *inout,
-                       const uint32_t *tape, size_t row0, size_t count,
-                       unsigned d)
-{
-    const bool pf = lpnPrefetchEnabled();
-    size_t j = 0;
-    while (j < count && ((row0 + j) % kLane) != 0) {
-        scalarRows(in, inout + j, tape, row0 + j, 1, d);
-        ++j;
-    }
-
-    // vpgatherqq variant: per tap, four 4-lane gathers fetch the lo
-    // and hi halves of 8 blocks; accumulators stay in split lo/hi
-    // form and are interleaved back into blocks once per group. The
-    // indices are doubled so the gather's scale-8 addressing reaches
-    // 16-byte entries.
-    const long long *base_lo = reinterpret_cast<const long long *>(in);
-    const long long *base_hi = base_lo + 1;
-    for (; j + kLane <= count; j += kLane) {
-        const size_t r = row0 + j;
-        const uint32_t *g = tape + (r / kLane) * size_t(d) * kLane;
-        if (pf && j + 2 * kLane <= count)
-            prefetchGroupTaps(in, g + size_t(d) * kLane, d);
-        __m256i lo0 = _mm256_setzero_si256(); // rows j..j+3, lo lanes
-        __m256i hi0 = _mm256_setzero_si256();
-        __m256i lo1 = _mm256_setzero_si256(); // rows j+4..j+7
-        __m256i hi1 = _mm256_setzero_si256();
-        for (unsigned i = 0; i < d; ++i) {
-            const __m256i idx = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(g + i * kLane));
-            const __m256i q0 = _mm256_slli_epi64(
-                _mm256_cvtepu32_epi64(_mm256_castsi256_si128(idx)), 1);
-            const __m256i q1 = _mm256_slli_epi64(
-                _mm256_cvtepu32_epi64(_mm256_extracti128_si256(idx, 1)),
-                1);
-            lo0 = _mm256_xor_si256(lo0,
-                                   _mm256_i64gather_epi64(base_lo, q0, 8));
-            hi0 = _mm256_xor_si256(hi0,
-                                   _mm256_i64gather_epi64(base_hi, q0, 8));
-            lo1 = _mm256_xor_si256(lo1,
-                                   _mm256_i64gather_epi64(base_lo, q1, 8));
-            hi1 = _mm256_xor_si256(hi1,
-                                   _mm256_i64gather_epi64(base_hi, q1, 8));
-        }
-        for (int half = 0; half < 2; ++half) {
-            const __m256i lo = half ? lo1 : lo0;
-            const __m256i hi = half ? hi1 : hi0;
-            Block *dst = inout + j + 4 * half;
-            // [l0,h0,l2,h2] / [l1,h1,l3,h3] -> row pairs in order.
-            const __m256i even = _mm256_unpacklo_epi64(lo, hi);
-            const __m256i odd = _mm256_unpackhi_epi64(lo, hi);
-            const __m256i b01 = _mm256_permute2x128_si256(even, odd,
-                                                          0x20);
-            const __m256i b23 = _mm256_permute2x128_si256(even, odd,
-                                                          0x31);
-            __m256i *p0 = reinterpret_cast<__m256i *>(dst);
-            __m256i *p1 = reinterpret_cast<__m256i *>(dst + 2);
-            _mm256_storeu_si256(
-                p0, _mm256_xor_si256(_mm256_loadu_si256(p0), b01));
-            _mm256_storeu_si256(
-                p1, _mm256_xor_si256(_mm256_loadu_si256(p1), b23));
-        }
-    }
-
-    if (j < count)
-        scalarRows(in, inout + j, tape, row0 + j, count - j, d);
-}
 
 void
 lpnBitGatherXorAvx2(const uint64_t *in_words, uint64_t *inout_words,
@@ -224,22 +76,10 @@ lpnBitGatherXorAvx2(const uint64_t *in_words, uint64_t *inout_words,
 #else // !IRONMAN_HAVE_AVX2_BUILD
 
 void
-lpnGatherXorAvx2(const Block *, Block *, const uint32_t *, size_t, size_t,
-                 unsigned)
-{
-    // Unreachable: lpnAvx2Supported() returned false.
-}
-
-void
-lpnGatherXorAvx2Gather(const Block *, Block *, const uint32_t *, size_t,
-                       size_t, unsigned)
-{
-}
-
-void
 lpnBitGatherXorAvx2(const uint64_t *, uint64_t *, const uint32_t *,
                     size_t, unsigned)
 {
+    // Unreachable: lpnAvx2Supported() returned false.
 }
 
 #endif

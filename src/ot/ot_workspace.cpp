@@ -29,38 +29,33 @@ sameShape(const FerretParams &a, const FerretParams &b)
 } // namespace
 
 size_t
-OtWorkspace::requiredBlocks(const FerretParams &p, int leaf_slots,
-                            bool scatter_free)
+OtWorkspace::requiredBlocks(const FerretParams &p, bool scatter_free)
 {
     if (scatter_free && scatterFreeFeed(p))
-        return size_t(leaf_slots) * p.t * p.treeLeaves();
-    return size_t(leaf_slots) * p.t * p.treeLeaves() + p.n;
+        return p.t * p.treeLeaves();
+    return p.t * p.treeLeaves() + p.n;
 }
 
 void
-OtWorkspace::prepare(const FerretParams &p, int threads, int leaf_slots,
+OtWorkspace::prepare(const FerretParams &p, int threads,
                      bool scatter_free)
 {
     threads = std::max(threads, 1);
-    leaf_slots = std::clamp(leaf_slots, 1, 2);
     scatter_free = scatter_free && scatterFreeFeed(p);
     if (ready && sameShape(preparedFor, p) &&
-        preparedThreads == threads && preparedSlots == leaf_slots &&
+        preparedThreads == threads &&
         scatterFreeActive == scatter_free)
         return;
 
     pool.resize(threads);
 
-    arena.reserve(requiredBlocks(p, leaf_slots, scatter_free));
-    leaf[0] = arena.alloc(p.t * p.treeLeaves());
-    leaf[1] = leaf_slots == 2 ? arena.alloc(p.t * p.treeLeaves())
-                              : nullptr;
+    arena.reserve(requiredBlocks(p, scatter_free));
+    leaf = arena.alloc(p.t * p.treeLeaves());
     // Scatter-free: every bucket is one whole tree (t*l >= n), so the
-    // leaf slots ARE the row vectors — no separate staging rows, no
-    // leaf -> rows pass (invariant 11: a slot's rows may be encoded in
-    // place only after its transcript stage completed, and the other
-    // slot receives the next transcript).
-    rows = scatter_free ? leaf[0] : arena.alloc(p.n);
+    // leaf matrix IS the row vector — no separate staging rows, no
+    // leaf -> rows pass (invariant 11: the rows are encoded in place
+    // only after the SPCOT stage that wrote them completed).
+    rows = scatter_free ? leaf : arena.alloc(p.n);
     scatterFreeActive = scatter_free;
 
     // The SPCOT workspace sizes itself per role on the first
@@ -72,7 +67,6 @@ OtWorkspace::prepare(const FerretParams &p, int threads, int leaf_slots,
     ready = true;
     preparedFor = p;
     preparedThreads = threads;
-    preparedSlots = leaf_slots;
 }
 
 } // namespace ironman::ot

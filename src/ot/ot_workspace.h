@@ -16,13 +16,6 @@
  * deterministic range partitions, so multi-threaded output is
  * bit-identical to single-threaded.
  *
- * For the pipelined engine the arena carves TWO leaf-matrix slots:
- * while iteration i's LPN encode reads the rows scattered from slot
- * (i mod 2), iteration i+1's SPCOT transcript expands into slot
- * (i+1 mod 2). The stage-handoff invariant (DESIGN.md invariant 10):
- * transcript slot N is never written while the LPN stage of slot N-1
- * is still reading buffers derived from it.
- *
  * The workspace additionally holds the engine's precomputed LPN index
  * tape (the matrix is fixed by the public seed, so the index unpack
  * and `% k` reduction happen once per engine, not once per
@@ -90,17 +83,12 @@ struct OtWorkspace
 
     /**
      * Arena blocks one engine role needs for @p p. Copy-feed layout:
-     * @p leaf_slots t x l leaf matrices plus the n staging rows.
-     * Scatter-free layout (bucketSize() == treeLeaves() and
-     * @p scatter_free): the separate staging rows disappear —
-     * @p leaf_slots row-slots of t*l blocks each (>= n), and the leaf
-     * matrix of slot s ALIASES row-slot s. The pipelined sender keeps
-     * two slots (iteration i's rows encode in place while iteration
-     * i+1's transcript expands into the other slot); the receiver
-     * needs one.
+     * the t x l leaf matrix plus the n staging rows. Scatter-free
+     * layout (bucketSize() == treeLeaves() and @p scatter_free): the
+     * separate staging rows disappear — the t*l leaf matrix (>= n
+     * blocks) IS the row vector.
      */
     static size_t requiredBlocks(const FerretParams &p,
-                                 int leaf_slots = 1,
                                  bool scatter_free = false);
 
     /**
@@ -109,7 +97,7 @@ struct OtWorkspace
      * extend() is the only warm-up. @p scatter_free requests the
      * aliased arena layout (ignored unless scatterFreeFeed(p)).
      */
-    void prepare(const FerretParams &p, int threads, int leaf_slots = 1,
+    void prepare(const FerretParams &p, int threads,
                  bool scatter_free = false);
 
     /** True when prepare() selected the scatter-free (aliased) layout. */
@@ -117,9 +105,9 @@ struct OtWorkspace
 
     common::ThreadPool pool{1};
     BlockArena arena;
-    /// t x treeLeaves() slots; scatter-free: leaf[s] == rowSlot(s).
-    Block *leaf[2] = {nullptr, nullptr};
-    /// n staging rows (z / y); scatter-free: aliases leaf[0].
+    /// t x treeLeaves() leaf matrix.
+    Block *leaf = nullptr;
+    /// n staging rows (z / y); scatter-free: aliases leaf.
     Block *rows = nullptr;
 
     SpcotWorkspace spcot;
@@ -136,7 +124,6 @@ struct OtWorkspace
     bool scatterFreeActive = false;
     FerretParams preparedFor;
     int preparedThreads = 0;
-    int preparedSlots = 0;
 };
 
 } // namespace ironman::ot

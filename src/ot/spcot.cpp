@@ -83,17 +83,19 @@ SpcotWorkspace::prepare(const SpcotConfig &config, size_t num_trees,
         senderReady = receiverReady = false;
 
     // The requested role's buffer set — an engine only ever plays one
-    // role, so the other set stays unallocated. (Receiver transcript
-    // slots grow lazily inside the stage functions.)
+    // role, so the other set stays unallocated. (The chosen-OT wire
+    // staging grows on the first batch.)
     const size_t n_inst = num_trees * shape.cotsPerTree;
+    extra.resize(num_trees * shape.extraPerTree);
     if (for_sender) {
-        extra.resize(num_trees * shape.extraPerTree);
         seeds.resize(num_trees);
         miniSeeds.resize(num_trees * shape.wideLevels);
         otM0.resize(n_inst);
         otM1.resize(n_inst);
     } else {
         otOut.resize(n_inst);
+        digits.resize(num_trees * shape.arities.size());
+        choices.resize(n_inst);
     }
 
     const unsigned max_arity =
@@ -146,13 +148,12 @@ SpcotWorkspace::prgOps() const
 }
 
 void
-spcotSendTranscript(net::Channel &ch, const SpcotConfig &cfg,
-                    size_t num_trees, const Block &delta, const Block *q,
-                    Rng &rng, uint64_t &tweak, common::ThreadPool *pool,
-                    SpcotWorkspace &ws, Block *w, uint64_t *prg_ops)
+spcotSendInto(net::Channel &ch, const SpcotConfig &cfg, size_t num_trees,
+              const Block &delta, const Block *q, Rng &rng,
+              uint64_t &tweak, common::ThreadPool &pool,
+              SpcotWorkspace &ws, Block *w, uint64_t *prg_ops)
 {
-    ws.prepare(cfg, num_trees, pool ? pool->threads() : 1,
-               /*for_sender=*/true);
+    ws.prepare(cfg, num_trees, pool.threads(), /*for_sender=*/true);
     const SpcotShape &sh = ws.shape;
     const size_t num_levels = sh.arities.size();
     const size_t n_inst = num_trees * sh.cotsPerTree;
@@ -171,7 +172,7 @@ spcotSendTranscript(net::Channel &ch, const SpcotConfig &cfg,
 
     const uint64_t ops_before = ws.prgOps();
 
-    auto expand_range = [&](int worker, size_t lo, size_t hi) {
+    pool.parallelFor(num_trees, [&](int worker, size_t lo, size_t hi) {
         SpcotWorkspace::Worker &wk = ws.workers[worker];
         for (size_t batch_base = lo; batch_base < hi;
              batch_base += SpcotWorkspace::kBatchTrees) {
@@ -256,12 +257,7 @@ spcotSendTranscript(net::Channel &ch, const SpcotConfig &cfg,
                 ex[sh.extraPerTree - 1] = wk.leafSums[i] ^ delta;
             }
         }
-    };
-
-    if (pool)
-        pool->parallelFor(num_trees, expand_range);
-    else
-        expand_range(0, 0, num_trees);
+    });
 
     if (prg_ops)
         *prg_ops = ws.prgOps() - ops_before;
@@ -274,38 +270,23 @@ spcotSendTranscript(net::Channel &ch, const SpcotConfig &cfg,
 }
 
 void
-spcotSendInto(net::Channel &ch, const SpcotConfig &cfg, size_t num_trees,
-              const Block &delta, const Block *q, Rng &rng,
-              uint64_t &tweak, common::ThreadPool &pool,
-              SpcotWorkspace &ws, Block *w, uint64_t *prg_ops)
+spcotRecvInto(net::Channel &ch, const SpcotConfig &cfg, size_t num_trees,
+              const size_t *alphas, const BitVec &b, size_t b_offset,
+              const Block *t, uint64_t &tweak, common::ThreadPool &pool,
+              SpcotWorkspace &ws, Block *v, uint64_t *prg_ops)
 {
-    spcotSendTranscript(ch, cfg, num_trees, delta, q, rng, tweak, &pool,
-                        ws, w, prg_ops);
-}
-
-void
-spcotRecvSendChoices(net::Channel &ch, const SpcotConfig &cfg,
-                     size_t num_trees, const size_t *alphas,
-                     const BitVec &b, size_t b_offset, uint64_t &tweak,
-                     SpcotWorkspace &ws, SpcotRecvSlot &slot)
-{
+    ws.prepare(cfg, num_trees, pool.threads(), /*for_sender=*/false);
     const SpcotShape &sh = ws.shape;
-    IRONMAN_CHECK(sh.cfg == cfg, "workspace prepared for other config");
     const size_t num_levels = sh.arities.size();
     const size_t n_inst = num_trees * sh.cotsPerTree;
-
-    slot.tweakBase = tweak;
-    slot.sumBase = tweak + n_inst;
-    tweak = slot.sumBase + num_trees * sh.sumsPerTree;
-
-    slot.alphas.assign(alphas, alphas + num_trees);
-    slot.digits.resize(num_trees * num_levels);
-    slot.choices.resize(n_inst);
+    const uint64_t tweak_base = tweak;
+    const uint64_t sum_base = tweak + n_inst;
+    tweak = sum_base + num_trees * sh.sumsPerTree;
 
     // Choice bits in traversal order: !digit for arity-2 levels,
     // !digit-bit for each mini level of wider ones.
     for (size_t tr = 0; tr < num_trees; ++tr) {
-        unsigned *dg = slot.digits.data() + tr * num_levels;
+        unsigned *dg = ws.digits.data() + tr * num_levels;
         alphaDigitsInto(alphas[tr], sh.arities, dg);
         const size_t inst_base = tr * sh.cotsPerTree;
         for (size_t lvl = 0; lvl < num_levels; ++lvl) {
@@ -313,51 +294,22 @@ spcotRecvSendChoices(net::Channel &ch, const SpcotConfig &cfg,
             const unsigned digit = dg[lvl];
             const size_t inst = inst_base + sh.instOffset[lvl];
             if (m == 2) {
-                slot.choices.set(inst, !(digit & 1));
+                ws.choices.set(inst, !(digit & 1));
             } else {
                 const unsigned bits = log2Arity(m);
                 for (unsigned j = 0; j < bits; ++j)
-                    slot.choices.set(inst + j,
-                                     !((digit >> (bits - 1 - j)) & 1));
+                    ws.choices.set(inst + j,
+                                   !((digit >> (bits - 1 - j)) & 1));
             }
         }
     }
 
-    // Derandomization bits out (the wire half of the chosen OT that
-    // needs only base-COT choice BITS, never strings).
-    chosenOtRecvSendDerand(ch, slot.choices, b, b_offset, n_inst,
-                           slot.ot);
-}
-
-void
-spcotRecvRecvTranscript(net::Channel &ch, const SpcotConfig &cfg,
-                        size_t num_trees, SpcotWorkspace &ws,
-                        SpcotRecvSlot &slot)
-{
-    const SpcotShape &sh = ws.shape;
-    IRONMAN_CHECK(sh.cfg == cfg, "workspace prepared for other config");
-    const size_t n_inst = num_trees * sh.cotsPerTree;
-
-    chosenOtRecvCiphertexts(ch, n_inst, slot.ot);
-
-    slot.extra.resize(num_trees * sh.extraPerTree);
-    ch.recvBlocks(slot.extra.data(), num_trees * sh.extraPerTree);
-}
-
-void
-spcotRecvFinish(const SpcotConfig &cfg, size_t num_trees, const Block *t,
-                common::ThreadPool &pool, SpcotWorkspace &ws,
-                SpcotRecvSlot &slot, Block *v, uint64_t *prg_ops)
-{
-    const SpcotShape &sh = ws.shape;
-    IRONMAN_CHECK(sh.cfg == cfg, "workspace prepared for other config");
-    const size_t num_levels = sh.arities.size();
-    const size_t n_inst = num_trees * sh.cotsPerTree;
-
-    // Unmask the chosen-OT outputs with the base-COT strings (one
-    // batched hash — the strings are contiguous).
-    chosenOtRecvFinish(ws.crhf, slot.choices, t, n_inst, ws.otOut.data(),
-                       slot.tweakBase, slot.ot);
+    // Derandomization bits out, ciphertexts in, unmasked with the
+    // base-COT strings (one batched hash — the strings are
+    // contiguous); then the masked sums.
+    chosenOtRecv(ch, ws.crhf, ws.choices, b, b_offset, t, n_inst,
+                 ws.otOut.data(), tweak_base, ws.ot);
+    ch.recvBlocks(ws.extra.data(), num_trees * sh.extraPerTree);
 
     const uint64_t ops_before = ws.prgOps();
 
@@ -372,7 +324,7 @@ spcotRecvFinish(const SpcotConfig &cfg, size_t num_trees, const Block *t,
             // chosen-OT outputs.
             for (size_t i = 0; i < cnt; ++i) {
                 const size_t tr = batch_base + i;
-                const unsigned *dg = slot.digits.data() + tr * num_levels;
+                const unsigned *dg = ws.digits.data() + tr * num_levels;
                 const size_t inst_base = tr * sh.cotsPerTree;
                 Block *ks = wk.knownSums.data() + i * sh.layout.total;
                 for (size_t lvl = 0; lvl < num_levels; ++lvl) {
@@ -397,7 +349,7 @@ spcotRecvFinish(const SpcotConfig &cfg, size_t num_trees, const Block *t,
                 for (size_t i = 0; i < cnt; ++i) {
                     const size_t tr = batch_base + i;
                     const unsigned digit =
-                        slot.digits[tr * num_levels + lvl];
+                        ws.digits[tr * num_levels + lvl];
                     const size_t inst =
                         tr * sh.cotsPerTree + sh.instOffset[lvl];
                     Block *mk = wk.miniKnown.data() + i * ml.total;
@@ -424,14 +376,14 @@ spcotRecvFinish(const SpcotConfig &cfg, size_t num_trees, const Block *t,
                 ws.crhf.hashBatch(wk.miniLeavesAll.data(),
                                   wk.hashPads.data(),
                                   cnt * sh.sumsPerTree,
-                                  slot.sumBase +
+                                  sum_base +
                                       batch_base * sh.sumsPerTree);
                 for (size_t i = 0; i < cnt; ++i) {
                     const size_t tr = batch_base + i;
                     const unsigned *dg =
-                        slot.digits.data() + tr * num_levels;
+                        ws.digits.data() + tr * num_levels;
                     const Block *ex =
-                        slot.extra.data() + tr * sh.extraPerTree;
+                        ws.extra.data() + tr * sh.extraPerTree;
                     const Block *pads =
                         wk.hashPads.data() + i * sh.sumsPerTree;
                     Block *ks =
@@ -454,7 +406,7 @@ spcotRecvFinish(const SpcotConfig &cfg, size_t num_trees, const Block *t,
             // Pass 3: level-synchronous cross-tree reconstruction of
             // the chunk's main trees, straight into the leaf span.
             ggmReconstructBatchInto(*wk.mainPrg,
-                                    slot.alphas.data() + batch_base, cnt,
+                                    alphas + batch_base, cnt,
                                     sh.layout, wk.knownSums.data(),
                                     sh.layout.total, wk.batch,
                                     v + batch_base * sh.leaves,
@@ -468,8 +420,8 @@ spcotRecvFinish(const SpcotConfig &cfg, size_t num_trees, const Block *t,
                 Block known_sum = Block::zero();
                 for (size_t j = 0; j < sh.leaves; ++j)
                     known_sum ^= leaves[j];
-                leaves[slot.alphas[tr]] =
-                    slot.extra[tr * sh.extraPerTree + sh.extraPerTree -
+                leaves[alphas[tr]] =
+                    ws.extra[tr * sh.extraPerTree + sh.extraPerTree -
                                1] ^
                     known_sum;
             }
@@ -478,20 +430,6 @@ spcotRecvFinish(const SpcotConfig &cfg, size_t num_trees, const Block *t,
 
     if (prg_ops)
         *prg_ops = ws.prgOps() - ops_before;
-}
-
-void
-spcotRecvInto(net::Channel &ch, const SpcotConfig &cfg, size_t num_trees,
-              const size_t *alphas, const BitVec &b, size_t b_offset,
-              const Block *t, uint64_t &tweak, common::ThreadPool &pool,
-              SpcotWorkspace &ws, Block *v, uint64_t *prg_ops)
-{
-    ws.prepare(cfg, num_trees, pool.threads(), /*for_sender=*/false);
-    SpcotRecvSlot &slot = ws.slots[0];
-    spcotRecvSendChoices(ch, cfg, num_trees, alphas, b, b_offset, tweak,
-                         ws, slot);
-    spcotRecvRecvTranscript(ch, cfg, num_trees, ws, slot);
-    spcotRecvFinish(cfg, num_trees, t, pool, ws, slot, v, prg_ops);
 }
 
 } // namespace ironman::ot

@@ -29,20 +29,12 @@
  * Crhf::hashBatch call (fused 8-wide MMO on AES-NI) instead of a
  * scalar hash per leaf.
  *
- * The protocol is split into pipeline stages:
- *   - sender: spcotSendTranscript() expands the trees and pushes the
- *     whole transcript (chosen-OT ciphertexts + masked sums) — with a
- *     pool, or serially when the pool is busy with the previous
- *     iteration's LPN encode;
- *   - receiver: spcotRecvSendChoices() (derandomization bits out;
- *     needs only choice BITS of the base COTs), then
- *     spcotRecvRecvTranscript() (pull ciphertexts + masked sums into a
- *     SpcotRecvSlot), then spcotRecvFinish() (unmask with the base COT
- *     STRINGS and reconstruct the punctured trees).
- * Two slots let the FERRET engine receive iteration i+1's transcript
- * while iteration i is still being consumed. spcotSendInto() /
- * spcotRecvInto() compose the stages back to back (the unpipelined
- * path); both are zero-heap-allocation once the workspace is warm.
+ * spcotSendInto() / spcotRecvInto() run one batched execution each:
+ * the sender expands the trees and pushes the whole transcript
+ * (chosen-OT ciphertexts + masked sums); the receiver sends its
+ * derandomization bits, pulls the transcript, unmasks it with the
+ * base-COT strings and reconstructs the punctured trees. Both are
+ * zero-heap-allocation once the workspace is warm.
  */
 
 #ifndef IRONMAN_OT_SPCOT_H
@@ -112,24 +104,6 @@ struct SpcotShape
 };
 
 /**
- * One pending receiver-side transcript: everything pulled off the wire
- * for a batch whose punctured trees have not been reconstructed yet.
- * The FERRET pipeline keeps two of these (in SpcotWorkspace) so slot
- * N can fill while slot N-1 is consumed. Buffers grow once and are
- * reused.
- */
-struct SpcotRecvSlot
-{
-    std::vector<size_t> alphas;   ///< punctured index per tree
-    std::vector<unsigned> digits; ///< trees x levels mixed-radix digits
-    BitVec choices;               ///< chosen-OT choice bits
-    std::vector<Block> extra;     ///< masked sums + recovery blocks
-    ChosenOtScratch ot;           ///< d bits + ciphertext staging
-    uint64_t tweakBase = 0;       ///< chosen-OT tweaks of this batch
-    uint64_t sumBase = 0;         ///< masked-sum tweaks of this batch
-};
-
-/**
  * Reusable state of a batched SPCOT endpoint: transcript buffers plus
  * one expansion context per pool worker. Grow-only; prepare() is
  * idempotent for a fixed (config, trees, threads).
@@ -183,10 +157,10 @@ struct SpcotWorkspace
     std::vector<Block> miniSeeds; ///< sender: per-tree mini seeds
     std::vector<Block> otM0, otM1; ///< sender OT messages
     std::vector<Block> otOut;     ///< receiver OT results (transient)
-    std::vector<Block> extra;     ///< sender: masked sums + recovery
-    ChosenOtScratch ot;           ///< sender chosen-OT staging
-
-    SpcotRecvSlot slots[2];       ///< receiver transcript slots
+    std::vector<unsigned> digits; ///< receiver: trees x levels digits
+    BitVec choices;               ///< receiver: chosen-OT choice bits
+    std::vector<Block> extra;     ///< masked sums + recovery blocks
+    ChosenOtScratch ot;           ///< chosen-OT wire staging
 
     std::vector<Worker> workers;
 
@@ -207,53 +181,24 @@ struct SpcotWorkspace
  *          consumed in traversal order (must mirror the receiver).
  * @param rng Source of the tree and mini-tree seeds.
  * @param tweak In/out hash-tweak counter shared by both parties.
- * @param pool Worker pool splitting trees into contiguous ranges, or
- *             nullptr to expand serially on the calling thread (used
- *             while the pool runs the previous iteration's LPN).
- *             Output is bit-identical either way.
+ * @param pool Worker pool splitting trees into contiguous ranges;
+ *             output is bit-identical for every width.
  * @param prg_ops If non-null, receives the PRG invocation count.
  */
-void spcotSendTranscript(net::Channel &ch, const SpcotConfig &cfg,
-                         size_t num_trees, const Block &delta,
-                         const Block *q, Rng &rng, uint64_t &tweak,
-                         common::ThreadPool *pool, SpcotWorkspace &ws,
-                         Block *w, uint64_t *prg_ops);
-
-/** Sender stage composition under the historical name. */
 void spcotSendInto(net::Channel &ch, const SpcotConfig &cfg,
                    size_t num_trees, const Block &delta, const Block *q,
                    Rng &rng, uint64_t &tweak, common::ThreadPool &pool,
                    SpcotWorkspace &ws, Block *w, uint64_t *prg_ops);
 
 /**
- * Receiver stage 1: derive the mixed-radix digits and chosen-OT
- * choices from @p alphas, send the derandomization bits (consuming
- * base-COT choice bits b[b_offset ...]), and advance the shared tweak
- * counter. Records everything stage 3 needs in @p slot.
+ * Receiver side: derive the mixed-radix digits and chosen-OT choices
+ * from @p alphas (one punctured index per tree), send the
+ * derandomization bits (consuming base-COT choice bits
+ * b[b_offset ...]), receive the transcript, unmask it with the
+ * base-COT strings @p t (num_trees*cotsPerTree() entries), reconstruct
+ * every punctured tree and write tree tr's leaf vector to
+ * v[tr*cfg.numLeaves ...]. Zero heap allocation once @p ws is warm.
  */
-void spcotRecvSendChoices(net::Channel &ch, const SpcotConfig &cfg,
-                          size_t num_trees, const size_t *alphas,
-                          const BitVec &b, size_t b_offset,
-                          uint64_t &tweak, SpcotWorkspace &ws,
-                          SpcotRecvSlot &slot);
-
-/** Receiver stage 2: pull ciphertexts + masked sums into @p slot. */
-void spcotRecvRecvTranscript(net::Channel &ch, const SpcotConfig &cfg,
-                             size_t num_trees, SpcotWorkspace &ws,
-                             SpcotRecvSlot &slot);
-
-/**
- * Receiver stage 3: unmask the chosen-OT outputs with the base-COT
- * strings @p t (num_trees*cotsPerTree() entries), reconstruct every
- * punctured tree, and write tree tr's leaf vector to
- * v[tr*cfg.numLeaves ...].
- */
-void spcotRecvFinish(const SpcotConfig &cfg, size_t num_trees,
-                     const Block *t, common::ThreadPool &pool,
-                     SpcotWorkspace &ws, SpcotRecvSlot &slot, Block *v,
-                     uint64_t *prg_ops);
-
-/** Receiver stage composition (slot 0) under the historical name. */
 void spcotRecvInto(net::Channel &ch, const SpcotConfig &cfg,
                    size_t num_trees, const size_t *alphas, const BitVec &b,
                    size_t b_offset, const Block *t, uint64_t &tweak,

@@ -31,14 +31,12 @@ CotClient::CotClient(std::unique_ptr<net::SocketChannel> channel,
         sender = std::make_unique<ot::FerretCotSender>(
             *ch, p, delta_, std::move(half.q));
         sender->setThreads(opt_.threads);
-        sender->setPipelined(opt_.pipelined);
     } else {
         ot::CotReceiverBatch half;
         dealSessionBase(p, opt_.setupSeed, nullptr, &half, nullptr);
         receiver = std::make_unique<ot::FerretCotReceiver>(
             *ch, p, std::move(half.choice), std::move(half.t));
         receiver->setThreads(opt_.threads);
-        receiver->setPipelined(opt_.pipelined);
     }
 }
 
@@ -95,8 +93,6 @@ CotClient::extendRecv(BitVec &choice, Block *t)
                   "extendRecv needs an open receiver-role session");
     sendOp(*ch, Op::Extend);
     receiver->extendInto(rng, choice, t);
-    // extendInto may end on a send (the pipelined prefetch); the
-    // server blocks on those bytes before its next opcode read.
     ch->flush();
     ++extensions;
 }

@@ -9,7 +9,7 @@ namespace ironman::svc {
 
 CotServer::CotServer(Config cfg)
     : cfg_(cfg),
-      pool_(EnginePool::Config{cfg.engineThreads, cfg.pipelined}),
+      pool_(EnginePool::Config{cfg.engineThreads}),
       server_(cfg.maxSessions)
 {
     server_.setMetricsPrefix("cot");

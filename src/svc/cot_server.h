@@ -49,7 +49,6 @@ class CotServer
     struct Config
     {
         int engineThreads = 1;   ///< worker-pool width per engine
-        bool pipelined = true;   ///< engine mode (clients must match)
         size_t maxSessions = 32; ///< concurrent-session bound
 
         // -- containment (see net::SessionServer) ----------------------
@@ -74,7 +73,7 @@ class CotServer
          * means any structurally valid shape. Membership compares the
          * EngineKey fields (what determines engine size and output).
          */
-        std::vector<ot::FerretParams> paramsAllowlist;
+        std::vector<ot::FerretParams> paramsAllowlist{};
 
         /** Lifetime sessions one client address may open; 0 = no cap. */
         uint64_t maxSessionsPerClient = 0;

@@ -74,8 +74,7 @@ class EnginePool
   public:
     struct Config
     {
-        int threads = 1;        ///< worker-pool width per engine
-        bool pipelined = true;  ///< engine mode (both peers must match)
+        int threads = 1; ///< worker-pool width per engine
     };
 
     EnginePool() : EnginePool(Config{}) {}

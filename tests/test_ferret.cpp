@@ -1,8 +1,9 @@
 /**
  * @file
  * End-to-end Ferret OTE tests: output correlations hold, bootstrapping
- * works across iterations, and the parameter sets are self-consistent
- * (invariants 1 and 7 of DESIGN.md).
+ * works across iterations and across tree shapes, LPN sizes and PRGs,
+ * and the parameter sets are self-consistent (invariants 1 and 7 of
+ * DESIGN.md).
  */
 
 #include <gtest/gtest.h>
@@ -108,6 +109,59 @@ TEST(FerretTest, ThreeIterationsBootstrapCorrectly)
     FerretParams p = tinyTestParams();
     FerretRun run = runFerret(p, 3, 2000);
     expectValidCots(run, p.usableOts());
+}
+
+/**
+ * Small parameter sets with different tree shapes, arities and PRGs
+ * (the tiny set is 4-ary ChaCha8 with l = 1024).
+ */
+std::vector<FerretParams>
+paramGrid()
+{
+    std::vector<FerretParams> grid;
+
+    FerretParams a;
+    a.name = "small-binary";
+    a.n = 6000;
+    a.k = 600;
+    a.t = 10;
+    a.arity = 2; // no mini trees: the binary-levels-only path
+    a.prg = crypto::PrgKind::Aes;
+    a.lpnSeed = 0x5151;
+    grid.push_back(a);
+
+    FerretParams b;
+    b.name = "small-8ary";
+    b.n = 9000;
+    b.k = 800;
+    b.t = 14;
+    b.arity = 8; // wide mini trees, non-power-of-arity leaf count
+    b.prg = crypto::PrgKind::ChaCha8;
+    b.lpnSeed = 0x2323;
+    grid.push_back(b);
+
+    FerretParams c;
+    c.name = "small-cc20";
+    c.n = 12000;
+    c.k = 1500;
+    c.t = 24;
+    c.arity = 4;
+    c.prg = crypto::PrgKind::ChaCha20;
+    c.lpnSeed = 0x7777;
+    grid.push_back(c);
+    return grid;
+}
+
+TEST(FerretTest, ParameterGridBootstrapsCorrectly)
+{
+    uint64_t seed = 8800;
+    for (const FerretParams &p : paramGrid()) {
+        ASSERT_GT(p.usableOts(), 0u) << p.name;
+        FerretRun run = runFerret(p, 3, seed, p.arity, p.prg);
+        SCOPED_TRACE(p.name);
+        expectValidCots(run, p.usableOts());
+        seed += 17;
+    }
 }
 
 TEST(FerretTest, OutputsDifferAcrossIterations)

@@ -512,6 +512,12 @@ TEST(InferServiceTest, ReservoirSessionChurnReusesWarmEngines)
               engines_after_wave1)
         << "invariant 13: later inference sessions must reuse warm "
            "engines, not construct";
+    // The infer server counts a session when its session thread
+    // unwinds, which can trail the client's close.
+    for (int spin = 0; spin < 5000 && (server.sessionsServed() < 3 ||
+                                       server.activeSessions() != 0);
+         ++spin)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     EXPECT_EQ(server.sessionsServed(), 3u);
 
     server.stop();

@@ -1,7 +1,8 @@
 /**
  * @file
  * LPN encoder tests: determinism, agreement with a dense GF(2)
- * reference, parallel == serial, SIMD/tape == scalar streaming, and
+ * reference, parallel == serial, every tape kernel == the streaming
+ * encoder, and
  * preservation of the COT correlation through the encoding
  * (invariant 4 of DESIGN.md).
  */
@@ -146,11 +147,11 @@ TEST(LpnTest, PoolParallelMatchesSerial)
 // ---------------------------------------------------------------------------
 
 /**
- * The tape path (precomputed transposed indices + runtime-dispatched
- * SIMD gather-XOR) must be bit-identical to the streaming scalar
- * encoder under randomized seeds, including with the SIMD kernel
- * forced off (scalar tape walk), at unaligned row offsets, and
- * through the pool.
+ * The tape path (precomputed transposed indices + the host's block
+ * kernel) must be bit-identical to the streaming encoder under
+ * randomized seeds, through every block kernel the build has (called
+ * directly, so the scalar walk stays covered on SIMD hosts), at
+ * unaligned row offsets, and through the pool.
  */
 TEST(LpnTapeTest, TapeEncodeMatchesStreamingUnderRandomSeeds)
 {
@@ -176,39 +177,40 @@ TEST(LpnTapeTest, TapeEncodeMatchesStreamingUnderRandomSeeds)
         LpnIndexTape tape;
         enc.buildTape(tape, p.n, pool, scratches.data());
 
-        // SIMD kernel (whatever the CPU dispatches to).
-        std::vector<Block> simd = base;
-        enc.encodeBlocksTape(in.data(), simd.data(), 0, p.n, tape);
-        EXPECT_EQ(simd, expect) << "trial " << trial;
+        // The encoder's own kernel.
+        std::vector<Block> taped = base;
+        enc.encodeBlocksTape(in.data(), taped.data(), 0, p.n, tape);
+        EXPECT_EQ(taped, expect) << "trial " << trial;
 
-        // Forced-scalar tape walk.
-        LpnEncoder::forceScalarKernel(true);
-        std::vector<Block> scalar = base;
-        enc.encodeBlocksTape(in.data(), scalar.data(), 0, p.n, tape);
-        LpnEncoder::forceScalarKernel(false);
-        EXPECT_EQ(scalar, expect) << "trial " << trial;
+        // Each block kernel, whole range and an unaligned sub-range
+        // (the SSE2 kernel's scalar head and tail).
+        struct Kernel
+        {
+            const char *name;
+            void (*fn)(const Block *, Block *, const uint32_t *, size_t,
+                       size_t, unsigned);
+        };
+        std::vector<Kernel> kernels = {
+            {"scalar", &detail::lpnGatherXorScalar}};
+#if defined(__x86_64__) || defined(__i386__)
+        kernels.push_back({"sse2", &detail::lpnGatherXorSse2});
+#endif
+        const size_t row0 = 1 + meta_rng.nextBelow(61);
+        const size_t count = p.n - row0 - meta_rng.nextBelow(7);
+        for (const Kernel &k : kernels) {
+            std::vector<Block> got = base;
+            k.fn(in.data(), got.data(), tape.idx.data(), 0, p.n, p.d);
+            EXPECT_EQ(got, expect) << "trial " << trial << " " << k.name;
 
-        // Every pinnable kernel (unsupported ones fall back, which
-        // must still be bit-identical).
-        for (LpnKernel k : {LpnKernel::Sse2, LpnKernel::Avx2,
-                            LpnKernel::Avx2Gather}) {
-            LpnEncoder::setKernel(k);
-            std::vector<Block> pinned = base;
-            enc.encodeBlocksTape(in.data(), pinned.data(), 0, p.n, tape);
-            LpnEncoder::setKernel(LpnKernel::Auto);
-            EXPECT_EQ(pinned, expect)
-                << "trial " << trial << " kernel " << int(k);
+            std::vector<Block> sub(base.begin() + row0,
+                                   base.begin() + row0 + count);
+            k.fn(in.data(), sub.data(), tape.idx.data(), row0, count,
+                 p.d);
+            for (size_t j = 0; j < count; ++j)
+                ASSERT_EQ(sub[j], expect[row0 + j])
+                    << "trial " << trial << " " << k.name << " row "
+                    << row0 + j;
         }
-
-        // Unaligned sub-range (exercises the head/tail handling).
-        size_t row0 = 1 + meta_rng.nextBelow(61);
-        size_t count = p.n - row0 - meta_rng.nextBelow(7);
-        std::vector<Block> sub(base.begin() + row0,
-                               base.begin() + row0 + count);
-        enc.encodeBlocksTape(in.data(), sub.data(), row0, count, tape);
-        for (size_t j = 0; j < count; ++j)
-            ASSERT_EQ(sub[j], expect[row0 + j])
-                << "trial " << trial << " row " << row0 + j;
 
         // Pool split.
         std::vector<Block> pooled = base;
@@ -257,12 +259,12 @@ TEST(LpnTapeTest, BitEncodeTapeMatchesStreaming)
 }
 
 /**
- * The SIMD bit kernels (word-at-a-time groups + AVX2 vpgatherdd) must
- * be bit-identical to the streaming scalar bit encode under random
- * seeds and sizes, including n % 8 != 0 tails and through every
- * pinnable kernel.
+ * Both bit kernels (word-at-a-time groups, and AVX2 vpgatherdd where
+ * the CPU has it), called directly, must be bit-identical to the
+ * streaming bit encode under random seeds and sizes, including
+ * n % 8 != 0 tails.
  */
-TEST(LpnTapeTest, BitEncodeSimdMatchesScalarUnderRandomSeeds)
+TEST(LpnTapeTest, BitEncodeKernelsMatchStreamingUnderRandomSeeds)
 {
     Rng meta_rng(910);
     common::ThreadPool pool(2);
@@ -286,19 +288,22 @@ TEST(LpnTapeTest, BitEncodeSimdMatchesScalarUnderRandomSeeds)
         LpnIndexTape tape;
         enc.buildTape(tape, p.n, pool, scratches.data());
 
-        BitVec simd = base;
-        enc.encodeBitsTape(in, simd, tape);
-        EXPECT_EQ(simd, expect) << "trial " << trial;
+        BitVec taped = base;
+        enc.encodeBitsTape(in, taped, tape);
+        EXPECT_EQ(taped, expect) << "trial " << trial;
 
-        for (LpnKernel k :
-             {LpnKernel::Scalar, LpnKernel::Sse2, LpnKernel::Avx2,
-              LpnKernel::Avx2Gather}) {
-            LpnEncoder::setKernel(k);
-            BitVec pinned = base;
-            enc.encodeBitsTape(in, pinned, tape);
-            LpnEncoder::setKernel(LpnKernel::Auto);
-            EXPECT_EQ(pinned, expect)
-                << "trial " << trial << " kernel " << int(k);
+        BitVec words = base;
+        detail::lpnBitGatherWords(in.rawWords().data(),
+                                  words.rawWords().data(),
+                                  tape.idx.data(), p.n, p.d);
+        EXPECT_EQ(words, expect) << "trial " << trial << " words";
+
+        if (detail::lpnAvx2Supported()) {
+            BitVec avx2 = base;
+            detail::lpnBitGatherXorAvx2(in.rawWords().data(),
+                                        avx2.rawWords().data(),
+                                        tape.idx.data(), p.n, p.d);
+            EXPECT_EQ(avx2, expect) << "trial " << trial << " avx2";
         }
     }
 }

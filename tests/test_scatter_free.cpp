@@ -3,10 +3,9 @@
  * Scatter-free LPN feed tests (invariant 11 of DESIGN.md): on a
  * parameter set with bucketSize() == treeLeaves(), engines write the
  * GGM leaves straight into the LPN row vector. The outputs must be
- * bit-identical to the copying feed for equal RNG seeds, in both
- * pipelined and unpipelined mode and under either feed on either
- * party (the feed is a local layout decision, not a protocol change),
- * and the aliased arena layout must hold.
+ * bit-identical to the copying feed for equal RNG seeds, under either
+ * feed on either party (the feed is a local layout decision, not a
+ * protocol change), and the aliased arena layout must hold.
  */
 
 #include <gtest/gtest.h>
@@ -30,8 +29,8 @@ struct RunOutput
 };
 
 RunOutput
-runPair(const FerretParams &p, bool pipelined, bool sender_sf,
-        bool receiver_sf, int iterations, uint64_t seed)
+runPair(const FerretParams &p, bool sender_sf, bool receiver_sf,
+        int iterations, uint64_t seed)
 {
     Rng dealer(seed);
     RunOutput out;
@@ -45,7 +44,6 @@ runPair(const FerretParams &p, bool pipelined, bool sender_sf,
     net::runTwoParty(
         [&](net::Channel &ch) {
             FerretCotSender sender(ch, p, out.delta, std::move(bs.q));
-            sender.setPipelined(pipelined);
             sender.setScatterFree(sender_sf);
             Rng rng(seed + 1);
             for (int it = 0; it < iterations; ++it)
@@ -54,7 +52,6 @@ runPair(const FerretParams &p, bool pipelined, bool sender_sf,
         [&](net::Channel &ch) {
             FerretCotReceiver receiver(ch, p, std::move(br.choice),
                                        std::move(br.t));
-            receiver.setPipelined(pipelined);
             receiver.setScatterFree(receiver_sf);
             Rng rng(seed + 2);
             BitVec c;
@@ -92,19 +89,11 @@ TEST(ScatterFreeTest, AlignedParamsSelectTheFeed)
         EXPECT_FALSE(OtWorkspace::scatterFreeFeed(paper)) << paper.name;
 }
 
-TEST(ScatterFreeTest, MatchesCopyingFeedUnpipelined)
+TEST(ScatterFreeTest, MatchesCopyingFeed)
 {
     const FerretParams p = tinyAlignedParams();
-    RunOutput sf = runPair(p, false, true, true, 2, 8100);
-    RunOutput copy = runPair(p, false, false, false, 2, 8100);
-    expectEqualAndValid(sf, copy);
-}
-
-TEST(ScatterFreeTest, MatchesCopyingFeedPipelined)
-{
-    const FerretParams p = tinyAlignedParams();
-    RunOutput sf = runPair(p, true, true, true, 3, 8200);
-    RunOutput copy = runPair(p, true, false, false, 3, 8200);
+    RunOutput sf = runPair(p, true, true, 3, 8100);
+    RunOutput copy = runPair(p, false, false, 3, 8100);
     expectEqualAndValid(sf, copy);
 }
 
@@ -113,36 +102,35 @@ TEST(ScatterFreeTest, FeedIsALocalDecision)
     // Mixed feeds across the two parties produce the same transcript
     // and outputs — the wire format cannot depend on the feed.
     const FerretParams p = tinyAlignedParams();
-    RunOutput mixed = runPair(p, true, true, false, 2, 8300);
-    RunOutput copy = runPair(p, true, false, false, 2, 8300);
+    RunOutput mixed = runPair(p, true, false, 2, 8300);
+    RunOutput copy = runPair(p, false, false, 2, 8300);
     expectEqualAndValid(mixed, copy);
 }
 
-TEST(ScatterFreeTest, ArenaAliasesRowsOntoLeafSlots)
+TEST(ScatterFreeTest, ArenaAliasesRowsOntoLeafSlot)
 {
     const FerretParams p = tinyAlignedParams();
 
     OtWorkspace sf;
-    sf.prepare(p, 1, /*leaf_slots=*/2, /*scatter_free=*/true);
+    sf.prepare(p, 1, /*scatter_free=*/true);
     EXPECT_TRUE(sf.scatterFree());
-    EXPECT_EQ(sf.arena.capacity(),
-              OtWorkspace::requiredBlocks(p, 2, true));
-    EXPECT_EQ(sf.arena.capacity(), 2 * p.t * p.treeLeaves());
-    EXPECT_EQ(sf.rows, sf.leaf[0]) << "rows must alias leaf slot 0";
+    EXPECT_EQ(sf.arena.capacity(), OtWorkspace::requiredBlocks(p, true));
+    EXPECT_EQ(sf.arena.capacity(), p.t * p.treeLeaves());
+    EXPECT_EQ(sf.rows, sf.leaf) << "rows must alias the leaf slot";
     ASSERT_GE(p.t * p.treeLeaves(), p.n)
-        << "aliased slots must cover every LPN row";
+        << "the aliased slot must cover every LPN row";
 
     // The copying layout keeps its separate staging rows.
     OtWorkspace copy;
-    copy.prepare(p, 1, 2, /*scatter_free=*/false);
+    copy.prepare(p, 1, /*scatter_free=*/false);
     EXPECT_FALSE(copy.scatterFree());
     EXPECT_EQ(copy.arena.capacity(),
-              OtWorkspace::requiredBlocks(p, 2, false));
-    EXPECT_NE(copy.rows, copy.leaf[0]);
+              OtWorkspace::requiredBlocks(p, false));
+    EXPECT_NE(copy.rows, copy.leaf);
 
     // Non-aligned params ignore the request.
     OtWorkspace tiny;
-    tiny.prepare(tinyTestParams(), 1, 1, /*scatter_free=*/true);
+    tiny.prepare(tinyTestParams(), 1, /*scatter_free=*/true);
     EXPECT_FALSE(tiny.scatterFree());
 }
 

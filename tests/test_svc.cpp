@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <latch>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -329,7 +330,7 @@ TEST(CotServiceTest, EightConcurrentSessionsBitIdenticalToDirect)
     constexpr int kIters = 3;
 
     ServerRecorder rec; // before the server: sinks must outlive sessions
-    CotServer server(CotServer::Config{1, true, kSessions});
+    CotServer server(CotServer::Config{.maxSessions = kSessions});
     rec.attach(server);
     const uint16_t port = server.listenTcp(0);
 
@@ -432,10 +433,18 @@ TEST(CotServiceTest, EnginesReusedAcrossSessionWaves)
     constexpr int kWaveSessions = 4;
     const FerretParams p = ot::tinyTestParams();
 
-    CotServer server(CotServer::Config{1, true, kWaveSessions});
+    CotServer server(CotServer::Config{.maxSessions = kWaveSessions});
     const uint16_t port = server.listenTcp(0);
 
+    // Every wave holds all kWaveSessions engines at once, so wave 1
+    // provably builds exactly that many and later waves reuse them.
+    // The server checks an engine out after its Accept and returns it
+    // when the session closes: sessions are all open before any client
+    // extends (start barrier), and a client's extension completes only
+    // once its session holds an engine, so none closes before every
+    // session has one (hold barrier).
     auto run_wave = [&](uint64_t seed_base) {
+        std::latch opened(kWaveSessions), extended(kWaveSessions);
         std::vector<std::thread> clients;
         for (int i = 0; i < kWaveSessions; ++i)
             clients.emplace_back([&, i] {
@@ -443,9 +452,11 @@ TEST(CotServiceTest, EnginesReusedAcrossSessionWaves)
                 opt.setupSeed = seed_base + i;
                 auto client = CotClient::connectTcp("127.0.0.1", port,
                                                     p, opt);
+                opened.arrive_and_wait();
                 BitVec c;
                 std::vector<Block> t(client->usableOts());
                 client->extendRecv(c, t.data());
+                extended.arrive_and_wait();
                 client->close();
             });
         for (auto &th : clients)
@@ -455,7 +466,7 @@ TEST(CotServiceTest, EnginesReusedAcrossSessionWaves)
     run_wave(7000);
     waitForSessions(server, kWaveSessions);
     const uint64_t created_after_wave1 = server.pool().sendersCreated();
-    EXPECT_LE(created_after_wave1, uint64_t(kWaveSessions));
+    EXPECT_EQ(created_after_wave1, uint64_t(kWaveSessions));
 
     run_wave(8000);
     waitForSessions(server, 2u * kWaveSessions);

@@ -205,9 +205,9 @@ struct RunOutput
 };
 
 RunOutput
-runExtensions(int threads, int iterations, uint64_t seed)
+runExtensions(const FerretParams &p, int threads, int iterations,
+              uint64_t seed)
 {
-    FerretParams p = tinyTestParams();
     Rng dealer(seed);
     RunOutput out;
     out.delta = dealer.nextBlock();
@@ -241,22 +241,41 @@ runExtensions(int threads, int iterations, uint64_t seed)
     return out;
 }
 
+/** A second shape: 8-ary mini trees, a non-power-of-arity leaf count. */
+FerretParams
+small8aryParams()
+{
+    FerretParams p;
+    p.name = "small-8ary";
+    p.n = 9000;
+    p.k = 800;
+    p.t = 14;
+    p.arity = 8;
+    p.prg = crypto::PrgKind::ChaCha8;
+    p.lpnSeed = 0x2323;
+    return p;
+}
+
 TEST(WorkspaceEngineTest, MultiThreadedMatchesSingleThreaded)
 {
-    RunOutput serial = runExtensions(1, 2, 7100);
-    RunOutput parallel = runExtensions(4, 2, 7100);
+    // Three bootstrapped iterations on two shapes, 1 vs 4 workers.
+    for (const FerretParams &p : {tinyTestParams(), small8aryParams()}) {
+        SCOPED_TRACE(p.name);
+        RunOutput serial = runExtensions(p, 1, 3, 7100);
+        RunOutput parallel = runExtensions(p, 4, 3, 7100);
 
-    ASSERT_EQ(serial.q.size(), parallel.q.size());
-    EXPECT_EQ(serial.q, parallel.q);
-    EXPECT_EQ(serial.t, parallel.t);
-    EXPECT_EQ(serial.choice, parallel.choice);
+        ASSERT_EQ(serial.q.size(), parallel.q.size());
+        EXPECT_EQ(serial.q, parallel.q);
+        EXPECT_EQ(serial.t, parallel.t);
+        EXPECT_EQ(serial.choice, parallel.choice);
 
-    // And the outputs are valid correlations.
-    for (size_t i = 0; i < serial.q.size(); ++i)
-        ASSERT_EQ(serial.t[i],
-                  serial.q[i] ^
-                      scalarMul(serial.choice.get(i), serial.delta))
-            << "index " << i;
+        // And the outputs are valid correlations.
+        for (size_t i = 0; i < serial.q.size(); ++i)
+            ASSERT_EQ(serial.t[i],
+                      serial.q[i] ^
+                          scalarMul(serial.choice.get(i), serial.delta))
+                << "index " << i;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -269,27 +288,22 @@ TEST(WorkspaceEngineTest, ArenaSizedOnceFromParams)
     OtWorkspace ws;
     ws.prepare(p, 2);
 
+    // One t x l leaf slot plus the n staging rows, carved exactly.
     EXPECT_EQ(ws.arena.capacity(), OtWorkspace::requiredBlocks(p));
+    EXPECT_EQ(ws.arena.capacity(), p.t * p.treeLeaves() + p.n);
     EXPECT_EQ(ws.arena.used(), ws.arena.capacity())
         << "the arena is carved exactly, no slack";
-    ASSERT_NE(ws.leaf[0], nullptr);
-    EXPECT_EQ(ws.leaf[1], nullptr) << "one slot unless pipelined sender";
+    ASSERT_NE(ws.leaf, nullptr);
     ASSERT_NE(ws.rows, nullptr);
+    EXPECT_EQ(size_t(ws.rows - ws.leaf), p.t * p.treeLeaves())
+        << "the rows follow the single leaf slot";
 
     // prepare() is idempotent: same params, same carving.
-    Block *leaf0 = ws.leaf[0];
+    Block *leaf = ws.leaf;
     Block *rows = ws.rows;
     ws.prepare(p, 2);
-    EXPECT_EQ(ws.leaf[0], leaf0);
+    EXPECT_EQ(ws.leaf, leaf);
     EXPECT_EQ(ws.rows, rows);
-
-    // The pipelined sender double-buffers the leaf matrix.
-    OtWorkspace ws2;
-    ws2.prepare(p, 2, /*leaf_slots=*/2);
-    EXPECT_EQ(ws2.arena.capacity(), OtWorkspace::requiredBlocks(p, 2));
-    ASSERT_NE(ws2.leaf[1], nullptr);
-    EXPECT_EQ(size_t(ws2.leaf[1] - ws2.leaf[0]),
-              p.t * p.treeLeaves());
 }
 
 // ---------------------------------------------------------------------------
